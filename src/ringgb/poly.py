@@ -154,7 +154,7 @@ class Polynomial:
     descending by term in the ring's order.
     """
 
-    __slots__ = ("ring", "monomials")
+    __slots__ = ("ring", "monomials", "_keyed")
 
     def __init__(self, ring: PolyRing, monomials: tuple):
         self.ring = ring
@@ -184,6 +184,19 @@ class Polynomial:
         if not self.monomials:
             return -1
         return max(term_degree(t) for _, t in self.monomials)
+
+    def keyed_monomials(self) -> tuple:
+        """``monomials`` with each term replaced by its order's heap key.
+
+        Computed on first use and kept: a basis element serves as a
+        reducer in many normal-form calls.
+        """
+        try:
+            return self._keyed
+        except AttributeError:
+            key = self.ring.order.heap_key
+            self._keyed = tuple((c, key(t)) for c, t in self.monomials)
+            return self._keyed
 
     def coefficient(self, term: tuple):
         for c, t in self.monomials:

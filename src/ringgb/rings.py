@@ -24,18 +24,40 @@ class RingError(ValueError):
     """An operation fell outside a ring's supported domain."""
 
 
+#: The first thirteen primes.  Miller-Rabin with these bases is exact for
+#: every n below ``_MILLER_RABIN_BOUND``, the least strong pseudoprime to
+#: all of them (Sorenson & Webster, "Strong pseudoprimes to twelve prime
+#: bases", Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ``RingError`` past its proven range."""
+    if n >= _MILLER_RABIN_BOUND:
+        raise RingError(
+            f"modulus {n} is too large; primality is decided only below "
+            f"{_MILLER_RABIN_BOUND}"
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -6,6 +6,8 @@ variable; the all-zeros tuple is the unit term.
 
 from __future__ import annotations
 
+from operator import neg
+
 _ORDER_KINDS = ("lex", "deglex")
 
 
@@ -75,6 +77,33 @@ class TermOrder:
         if self.kind == "lex":
             return term
         return (sum(term), term)
+
+    def heap_key(self, term: tuple) -> tuple:
+        """Key under which terms sort ascending in descending term order.
+
+        The key is the negated ``sort_key`` vector, so it is additive:
+        the key of s*t is the componentwise sum of the keys of s and t,
+        and s divides t exactly when every component of s's key is >=
+        the matching component of t's.  The reduction kernel works on
+        these keys alone and maps them back with ``term_from_heap_key``.
+        """
+        if self.precedence is not None:
+            term = tuple(term[i] for i in self.precedence)
+        key = tuple(map(neg, term))
+        if self.kind == "lex":
+            return key
+        return (-sum(term),) + key
+
+    def term_from_heap_key(self, key: tuple) -> tuple:
+        """The term whose ``heap_key`` is ``key``."""
+        if self.kind != "lex":
+            key = key[1:]
+        if self.precedence is None:
+            return tuple(map(neg, key))
+        term = [0] * len(key)
+        for e, i in zip(key, self.precedence):
+            term[i] = -e
+        return tuple(term)
 
     def compare(self, t1: tuple, t2: tuple) -> int:
         """-1, 0, or 1 as t1 is below, equal to, or above t2."""

@@ -127,6 +127,21 @@ def test_input_errors_exit_2(args):
     assert "error:" in result.stderr
 
 
+def test_61_bit_prime_field_runs():
+    result = invoke("gb", "--ring", "gf(2305843009213693951)", "--vars", "x,y",
+                    "x^2 - y", "x*y - 1")
+    assert result.returncode == 0
+    minus_one = 2**61 - 2
+    assert result.stdout == f"x + {minus_one}*y^2\ny^3 + {minus_one}\n"
+
+
+def test_modulus_past_the_primality_bound_exits_2():
+    result = invoke("gb", "--ring", f"gf({2**89 - 1})", "--vars", "x", "x")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "too large" in result.stderr
+
+
 def test_missing_subcommand_exits_2():
     result = invoke()
     assert result.returncode == 2

@@ -1,0 +1,174 @@
+"""The in-place reduction kernel takes exactly the steps of the rescan loop.
+
+The default strategy runs ``reduction._reduce``, which pops the highest
+pending term and rewrites the polynomial in place.  A subclass of
+``FirstReducibleStrategy`` keeps the same selection rule but is routed
+through the generic ``strategy.select(iter_reduction_steps(...))`` loop,
+which rebuilds the polynomial and rescans it from the head after every
+step.  Every check below runs both paths and requires identical results
+and identical step counts.
+"""
+
+import random
+
+import pytest
+
+from ringgb import Integers, PolyRing, PrimeField, Rationals, complete
+from ringgb.reduction import (
+    FirstReducibleStrategy,
+    StepBudget,
+    StepLimitExceeded,
+    normal_form,
+    normal_form_with_cofactors,
+    reduces_to_zero,
+)
+from ringgb.terms import TermOrder
+
+from corpus import corpus
+
+
+class RescanFirstReducible(FirstReducibleStrategy):
+    """The default selection rule, forced onto the generic loop."""
+
+    def __init__(self):
+        self.selects = 0
+
+    def select(self, candidates):
+        self.selects += 1
+        return super().select(candidates)
+
+
+def katsura(R):
+    xs = R.gens()
+    n = len(xs)
+
+    def u(i):
+        i = abs(i)
+        return xs[i] if i < n else R.zero()
+
+    gens = [sum((u(i) for i in range(-n + 1, n)), R.zero()) - 1]
+    for m in range(n - 1):
+        gens.append(sum((u(l) * u(m - l) for l in range(-n + 1, n)), R.zero()) - u(m))
+    return gens
+
+
+def cyclic(R):
+    xs = R.gens()
+    n = len(xs)
+    gens = []
+    for d in range(1, n):
+        total = R.zero()
+        for i in range(n):
+            t = R.one()
+            for j in range(d):
+                t = t * xs[(i + j) % n]
+            total = total + t
+        gens.append(total)
+    product = R.one()
+    for x in xs:
+        product = product * x
+    gens.append(product - 1)
+    return gens
+
+
+def random_probe(rng, R, nterms, degree):
+    monomials = []
+    for _ in range(nterms):
+        exps = [0] * R.nvars
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(R.nvars)] += 1
+        monomials.append((rng.randint(-9, 9), tuple(exps)))
+    return R.from_monomials(monomials)
+
+
+def assert_same_reduction(p, basis):
+    rescan = RescanFirstReducible()
+    kernel_budget, rescan_budget = StepBudget(), StepBudget()
+    remainder = normal_form(p, basis, budget=kernel_budget)
+    assert remainder == normal_form(p, basis, rescan, budget=rescan_budget)
+    assert kernel_budget.used == rescan_budget.used
+    assert rescan.selects == rescan_budget.used + 1  # the generic loop ran
+
+    kernel_budget, rescan_budget = StepBudget(), StepBudget()
+    kernel = normal_form_with_cofactors(p, basis, budget=kernel_budget)
+    generic = normal_form_with_cofactors(p, basis, rescan, budget=rescan_budget)
+    assert kernel[0] == generic[0] == remainder
+    assert kernel[1] == generic[1]
+    assert kernel_budget.used == rescan_budget.used
+    assert reduces_to_zero(p, basis) == (not remainder)
+    return kernel_budget.used
+
+
+def test_kernel_matches_rescan_on_corpus_bases():
+    rng = random.Random(2718)
+    steps = 0
+    for entry in corpus():
+        if not entry.trace.basis:
+            continue
+        for _ in range(4):
+            probe = random_probe(rng, entry.poly_ring, rng.randint(1, 12), 5)
+            steps += assert_same_reduction(probe, entry.trace.basis)
+    assert steps > 1000
+
+
+def _completed(R, family):
+    return complete(family(R)).basis
+
+
+IDEALS = [
+    ("katsura4-zz", lambda: PolyRing(Integers(), ["a", "b", "c", "d"], "deglex"), katsura),
+    ("cyclic4-qq", lambda: PolyRing(Rationals(), ["a", "b", "c", "d"], "deglex"), cyclic),
+    (
+        "katsura3-gf-deglex-precedence",
+        lambda: PolyRing(PrimeField(32003), ["a", "b", "c"], TermOrder("deglex", precedence=(2, 0, 1))),
+        katsura,
+    ),
+    (
+        "cyclic3-zz-deglex-precedence",
+        lambda: PolyRing(Integers(), ["a", "b", "c"], TermOrder("deglex", precedence=(2, 0, 1))),
+        cyclic,
+    ),
+    ("katsura3-zz-lex", lambda: PolyRing(Integers(), ["a", "b", "c"], "lex"), katsura),
+    ("cyclic3-qq-lex", lambda: PolyRing(Rationals(), ["a", "b", "c"], "lex"), cyclic),
+]
+
+
+@pytest.mark.parametrize("name, make_ring, family", IDEALS, ids=[i[0] for i in IDEALS])
+def test_kernel_matches_rescan_on_structured_bases(name, make_ring, family):
+    R = make_ring()
+    basis = _completed(R, family)
+    rng = random.Random(name)
+    steps = 0
+    for _ in range(15):
+        probe = random_probe(rng, R, rng.randint(5, 25), 7)
+        steps += assert_same_reduction(probe, basis)
+    assert steps > 100
+
+
+@pytest.mark.parametrize("name, make_ring, family", IDEALS, ids=[i[0] for i in IDEALS])
+def test_completion_matches_rescan(name, make_ring, family):
+    gens = family(make_ring())
+    kernel = complete(gens)
+    generic = complete(gens, strategy=RescanFirstReducible())
+    assert kernel.iterations == generic.iterations
+    assert kernel.reduction_steps == generic.reduction_steps
+    assert kernel.basis == generic.basis
+    assert kernel.certificates == generic.certificates
+
+
+def test_step_limit_fires_at_the_same_step():
+    R = PolyRing(Integers(), ["a", "b", "c", "d"], "deglex")
+    basis = _completed(R, katsura)
+    probe = random_probe(random.Random(5), R, 20, 6)
+    total = assert_same_reduction(probe, basis)
+    assert total > 10
+    for limit in range(total):
+        for strategy in (None, RescanFirstReducible()):
+            budget = StepBudget(limit)
+            with pytest.raises(StepLimitExceeded):
+                normal_form_with_cofactors(probe, basis, strategy, budget)
+            assert budget.used == limit + 1
+    for strategy in (None, RescanFirstReducible()):
+        budget = StepBudget(total)
+        normal_form(probe, basis, strategy, budget)
+        assert budget.used == total

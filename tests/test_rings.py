@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from ringgb.rings import (
     PrimeField,
     Rationals,
     RingError,
+    _is_prime,
     _xgcd,
     ring_from_string,
 )
@@ -250,11 +253,36 @@ def test_ring_descriptors():
 
 
 def test_prime_field_requires_prime():
-    for bad in (0, 1, 4, 9, 100, -7):
+    # 561 is a Carmichael number, 3215031751 a strong pseudoprime to the
+    # bases 2, 3, 5 and 7, and the last one to every prime base up to 37.
+    for bad in (0, 1, 4, 9, 100, -7, 561, 3215031751, 318665857834031151167461):
         with pytest.raises(RingError):
             PrimeField(bad)
     PrimeField(2)
     PrimeField(97)
+
+
+def test_prime_field_builds_fast_on_a_61_bit_prime():
+    start = time.perf_counter()
+    field = PrimeField(2**61 - 1)
+    assert time.perf_counter() - start < 1.0
+    assert field.mul(2**60, 2) == 1
+
+
+def test_primality_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if trial(n)]
+    rng = random.Random(10)
+    for _ in range(300):
+        n = rng.randrange(10**6, 10**8)
+        assert _is_prime(n) == trial(n)
+
+
+def test_modulus_past_the_primality_bound_is_rejected():
+    with pytest.raises(RingError, match="too large"):
+        PrimeField(2**89 - 1)
 
 
 def test_ring_from_string():

@@ -125,3 +125,32 @@ def test_min_terms_antichain_and_coverage():
         for t in terms:
             assert any(term_divides(k, t) for k in kept)
         assert set(kept) <= set(terms)
+
+
+HEAP_KEY_ORDERS = [
+    TermOrder("lex"),
+    TermOrder("deglex"),
+    TermOrder("lex", precedence=(1, 2, 0)),
+    TermOrder("deglex", precedence=(2, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("order", HEAP_KEY_ORDERS, ids=repr)
+def test_heap_key_sorts_descending(order):
+    rng = random.Random(8)
+    for _ in range(50):
+        terms = list({random_term(rng) for _ in range(rng.randint(1, 30))})
+        assert sorted(terms, key=order.heap_key) == sorted(
+            terms, key=order.sort_key, reverse=True
+        )
+
+
+@pytest.mark.parametrize("order", HEAP_KEY_ORDERS, ids=repr)
+def test_heap_key_is_additive_and_invertible(order):
+    rng = random.Random(9)
+    for _ in range(300):
+        s, t = random_term(rng), random_term(rng)
+        ks, kt = order.heap_key(s), order.heap_key(t)
+        assert order.term_from_heap_key(ks) == s
+        assert order.heap_key(term_mul(s, t)) == tuple(a + b for a, b in zip(ks, kt))
+        assert term_divides(s, t) == all(a >= b for a, b in zip(ks, kt))
