@@ -17,14 +17,7 @@ from .completion import (
     interreduce,
     is_groebner_basis,
 )
-from .pairs import (
-    GCD,
-    SYZYGY,
-    PairRecord,
-    critical_pairs,
-    gcd_polynomials,
-    syzygy_polynomials,
-)
+from .pairs import GCD, SYZYGY, PairRecord
 from .parser import PolynomialSyntaxError, parse_polynomial
 from .poly import PolyRing, Polynomial, format_polynomial
 from .reduction import (
@@ -33,8 +26,6 @@ from .reduction import (
     SeededRandomStrategy,
     StepBudget,
     StepLimitExceeded,
-    apply_step,
-    find_reduction,
     normal_form,
     normal_form_with_cofactors,
     reduces_to_zero,
@@ -47,7 +38,7 @@ from .rings import (
     RingError,
     ring_from_string,
 )
-from .terms import TermOrder, min_terms, term_div, term_divides, term_lcm, term_mul
+from .terms import TermOrder, term_div, term_divides, term_lcm, term_mul
 
 __version__ = "0.1.0"
 
@@ -62,9 +53,6 @@ __all__ = [
     "GCD",
     "SYZYGY",
     "PairRecord",
-    "critical_pairs",
-    "gcd_polynomials",
-    "syzygy_polynomials",
     "PolynomialSyntaxError",
     "parse_polynomial",
     "PolyRing",
@@ -75,8 +63,6 @@ __all__ = [
     "SeededRandomStrategy",
     "StepBudget",
     "StepLimitExceeded",
-    "apply_step",
-    "find_reduction",
     "normal_form",
     "normal_form_with_cofactors",
     "reduces_to_zero",
@@ -87,7 +73,6 @@ __all__ = [
     "RingError",
     "ring_from_string",
     "TermOrder",
-    "min_terms",
     "term_div",
     "term_divides",
     "term_lcm",

@@ -15,30 +15,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 from .completion import complete, ideal_membership, interreduce
 from .parser import PolynomialSyntaxError, parse_polynomial
 from .poly import PolyRing, format_polynomial
 from .reduction import SeededRandomStrategy, StepLimitExceeded, normal_form
-from .rings import CoefficientRing, RingError, ring_from_string
+from .rings import RingError, ring_from_string
 from .terms import TermOrder
 
 
 class InputError(Exception):
     """User-input problem that maps to exit code 2."""
-
-
-@dataclass
-class SessionConfig:
-    ring: CoefficientRing
-    variables: tuple
-    order: str
-    command: str
-    generators: list = field(default_factory=list)
-    query: str | None = None
-    seed: int | None = None
-    trace: bool = False
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -87,25 +74,6 @@ def read_polynomial_file(path: str) -> list:
     return out
 
 
-def config_from_args(args: argparse.Namespace) -> SessionConfig:
-    ring = ring_from_string(args.ring)
-    variables = tuple(name.strip() for name in args.vars.split(","))
-    generators = []
-    if args.input:
-        generators.extend(read_polynomial_file(args.input))
-    generators.extend(args.polynomials)
-    return SessionConfig(
-        ring=ring,
-        variables=variables,
-        order=args.order,
-        command=args.command,
-        generators=generators,
-        query=getattr(args, "query", None),
-        seed=args.seed,
-        trace=args.trace,
-    )
-
-
 def _emit_trace(trace, stream):
     print(f"pairs processed: {trace.pairs_processed}", file=stream)
     print(f"pair polynomials examined: {trace.iterations}", file=stream)
@@ -114,44 +82,56 @@ def _emit_trace(trace, stream):
     print(f"basis size: {len(trace.basis)}", file=stream)
 
 
-def run(config: SessionConfig, out=None, err=None) -> int:
-    """Execute one command; returns the process exit code."""
+def _format_all(polys) -> list:
+    try:
+        return [format_polynomial(p) for p in polys]
+    except ValueError:  # int-to-str conversion past Python's digit limit
+        raise InputError(
+            f"a result coefficient exceeds the {sys.get_int_max_str_digits()}-digit "
+            "printing limit"
+        ) from None
+
+
+def run(args: argparse.Namespace, out=None, err=None) -> int:
+    """Execute one parsed command; returns the process exit code.
+
+    Every output line is built before any is written, so a failure
+    leaves ``out`` empty.
+    """
     out = out or sys.stdout
     err = err or sys.stderr
-    poly_ring = PolyRing(config.ring, config.variables, TermOrder(config.order))
-    generators = [parse_polynomial(text, poly_ring) for text in config.generators]
-    strategy = SeededRandomStrategy(config.seed) if config.seed is not None else None
+    ring = ring_from_string(args.ring)
+    variables = tuple(name.strip() for name in args.vars.split(","))
+    texts = read_polynomial_file(args.input) if args.input else []
+    poly_ring = PolyRing(ring, variables, TermOrder(args.order))
+    generators = [parse_polynomial(text, poly_ring) for text in texts + args.polynomials]
+    strategy = SeededRandomStrategy(args.seed) if args.seed is not None else None
 
     trace = complete(generators, strategy=strategy)
-    if config.trace:
+    if args.trace:
         _emit_trace(trace, err)
 
-    if config.command == "gb":
-        for p in interreduce(trace.basis):
-            print(format_polynomial(p), file=out)
-        return 0
-
-    query = parse_polynomial(config.query, poly_ring)
-    if config.command == "nf":
-        result = normal_form(query, trace.basis, strategy)
-        print(format_polynomial(result), file=out)
-        return 0
-
-    outcome = ideal_membership(query, generators, strategy=strategy, trace=trace)
-    if outcome.is_member:
-        print("YES", file=out)
-        for cofactor in outcome.certificate:
-            print(format_polynomial(cofactor), file=out)
-        return 0
-    print("NO", file=out)
-    print(format_polynomial(outcome.remainder), file=out)
-    return 1
+    code = 0
+    if args.command == "gb":
+        lines = _format_all(interreduce(trace.basis))
+    elif args.command == "nf":
+        query = parse_polynomial(args.query, poly_ring)
+        lines = _format_all([normal_form(query, trace.basis, strategy)])
+    else:
+        query = parse_polynomial(args.query, poly_ring)
+        outcome = ideal_membership(query, generators, strategy=strategy, trace=trace)
+        if outcome.is_member:
+            lines = ["YES", *_format_all(outcome.certificate)]
+        else:
+            lines, code = ["NO", *_format_all([outcome.remainder])], 1
+    out.write("".join(line + "\n" for line in lines))
+    return code
 
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        return run(config_from_args(args))
+        return run(args)
     except (InputError, RingError, PolynomialSyntaxError, StepLimitExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,17 +20,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .pairs import (
-    PairRecord,
-    GCD,
-    SYZYGY,
-    combinations_for,
-    critical_pairs,
-    record_sort_key,
-)
+from .pairs import combinations_for, pair_records, record_sort_key
 from .poly import Polynomial
 from .reduction import StepBudget, normal_form, normal_form_with_cofactors
-from .terms import term_lcm
 
 #: Safety valve only; termination is guaranteed by the ascending chain
 #: condition, so desk-scale inputs never come near this.
@@ -83,17 +75,10 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
     order = poly_ring.order
     budget = StepBudget(max_steps)
     heap: list = []
-    seen: set = set()
 
     def enqueue_pairs(j: int):
-        for i in range(j):
-            t = term_lcm(basis[i].head_term, basis[j].head_term)
-            for kind in (GCD, SYZYGY):
-                if (i, j, kind) in seen:
-                    continue
-                seen.add((i, j, kind))
-                record = PairRecord(i, j, t, kind)
-                heapq.heappush(heap, (record_sort_key(record, order), record))
+        for record in pair_records(basis, j):
+            heapq.heappush(heap, (record_sort_key(record, order), record))
 
     for j in range(len(basis)):
         enqueue_pairs(j)
@@ -181,10 +166,13 @@ def interreduce(basis) -> list:
 def is_groebner_basis(basis, *, strategy=None) -> bool:
     """Certificate check: every pairwise gcd and syzygy polynomial reduces to 0."""
     basis = list(basis)
-    for record in critical_pairs(basis):
-        for q, _ in combinations_for(basis, record):
-            if q and normal_form(q, basis, strategy):
-                return False
+    if not all(basis):
+        raise ValueError("critical pairs require nonzero basis entries")
+    for j in range(len(basis)):
+        for record in pair_records(basis, j):
+            for q, _ in combinations_for(basis, record):
+                if q and normal_form(q, basis, strategy):
+                    return False
     return True
 
 

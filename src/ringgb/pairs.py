@@ -1,4 +1,4 @@
-"""Critical-pair polynomials for pairs of basis elements.
+"""Critical-pair records and the polynomials built from them.
 
 Two kinds are built for each unordered pair.  Gcd polynomials combine
 the pair so the head coefficient ideal at the lcm of the head terms is
@@ -7,16 +7,16 @@ outright, pushing the head strictly below it.  Over a field the single
 syzygy polynomial is the classical S-polynomial up to a unit and the
 gcd polynomial is redundant; over the integers both kinds matter.
 
-Pair generation is restricted to pairs because the shipped coefficient
-rings are principal ideal domains, where pairwise critical pairs are
-sufficient; larger subsets are rejected at the ring layer.
+``pair_records`` enumerates the records of one new basis element and
+``combinations_for`` builds the polynomials of one record.  Pairs are
+enough because the shipped coefficient rings are principal ideal
+domains, where pairwise critical pairs are sufficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import Polynomial
 from .terms import term_div, term_lcm
 
 GCD = "gcd"
@@ -35,81 +35,38 @@ class PairRecord:
     kind: str
 
 
-def _pair_data(p1: Polynomial, p2: Polynomial):
-    if not p1 or not p2:
-        raise ValueError("critical pairs require nonzero polynomials")
-    if p1.ring != p2.ring:
-        raise ValueError("polynomials belong to different rings")
-    t = term_lcm(p1.head_term, p2.head_term)
-    return t, term_div(t, p1.head_term), term_div(t, p2.head_term)
-
-
-def gcd_combinations(p1: Polynomial, p2: Polynomial):
-    """Gcd polynomials with their combination data.
-
-    Yields ``(q, ((a1, s1), (a2, s2)))`` with ``q = a1*s1*p1 + a2*s2*p2``;
-    the head monomial of ``q`` is g*lcm for the corresponding generator g
-    of the head-coefficient ideal.
-    """
-    t, s1, s2 = _pair_data(p1, p2)
-    ring = p1.ring.coeff_ring
-    _, rows, _ = ring.groebner([p1.head_coeff, p2.head_coeff])
-    out = []
-    for row in rows:
-        q = p1.mul_monomial(row[0], s1) + p2.mul_monomial(row[1], s2)
-        out.append((q, ((row[0], s1), (row[1], s2))))
-    return out
-
-
-def syzygy_combinations(p1: Polynomial, p2: Polynomial):
-    """Syzygy polynomials with their combination data.
-
-    Yields ``(q, ((a1, s1), (a2, s2)))`` where (a1, a2) runs over the
-    syzygy generators of the head coefficients; the coefficient of the
-    lcm term in ``q`` is exactly zero.
-    """
-    t, s1, s2 = _pair_data(p1, p2)
-    ring = p1.ring.coeff_ring
-    out = []
-    for a1, a2 in ring.syzygies([p1.head_coeff, p2.head_coeff]):
-        q = p1.mul_monomial(a1, s1) + p2.mul_monomial(a2, s2)
-        out.append((q, ((a1, s1), (a2, s2))))
-    return out
-
-
-def gcd_polynomials(p1: Polynomial, p2: Polynomial) -> list:
-    return [q for q, _ in gcd_combinations(p1, p2)]
-
-
-def syzygy_polynomials(p1: Polynomial, p2: Polynomial) -> list:
-    return [q for q, _ in syzygy_combinations(p1, p2)]
+def pair_records(basis, j: int):
+    """The gcd and then the syzygy record of each pair (i, j) with i < j."""
+    head = basis[j].head_term
+    for i in range(j):
+        t = term_lcm(basis[i].head_term, head)
+        yield PairRecord(i, j, t, GCD)
+        yield PairRecord(i, j, t, SYZYGY)
 
 
 def combinations_for(basis, record: PairRecord):
-    """Dispatch a record to its pair constructor."""
-    builder = gcd_combinations if record.kind == GCD else syzygy_combinations
-    return builder(basis[record.i], basis[record.j])
+    """The pair polynomials of ``record`` with their combination data.
+
+    Returns ``(q, ((a1, s1), (a2, s2)))`` pairs with
+    ``q = a1*s1*basis[i] + a2*s2*basis[j]``.  For ``GCD`` the rows of
+    the head coefficients' ``groebner`` basis give one q per generator
+    g, with head monomial g*lcm; for ``SYZYGY`` the rows of their
+    ``syzygies`` give q whose coefficient at the lcm is exactly zero.
+    """
+    p1, p2 = basis[record.i], basis[record.j]
+    s1 = term_div(record.lcm, p1.head_term)
+    s2 = term_div(record.lcm, p2.head_term)
+    ring = p1.ring.coeff_ring
+    if record.kind == GCD:
+        rows = ring.groebner([p1.head_coeff, p2.head_coeff])[1]
+    else:
+        rows = ring.syzygies(p1.head_coeff, p2.head_coeff)
+    return [
+        (p1.mul_monomial(a1, s1) + p2.mul_monomial(a2, s2), ((a1, s1), (a2, s2)))
+        for a1, a2 in rows
+    ]
 
 
 def record_sort_key(record: PairRecord, order):
     """Selection policy: ascending lcm, ties by index pair, gcd before syzygy."""
     return (order.sort_key(record.lcm), record.i, record.j, _KIND_RANK[record.kind])
-
-
-def critical_pairs(basis) -> list:
-    """One gcd and one syzygy record per unordered index pair, in policy order."""
-    basis = list(basis)
-    for b in basis:
-        if not b:
-            raise ValueError("critical pairs require nonzero basis entries")
-    if len(basis) < 2:
-        return []
-    order = basis[0].ring.order
-    records = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            t = term_lcm(basis[i].head_term, basis[j].head_term)
-            records.append(PairRecord(i, j, t, GCD))
-            records.append(PairRecord(i, j, t, SYZYGY))
-    records.sort(key=lambda r: record_sort_key(r, order))
-    return records

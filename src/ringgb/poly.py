@@ -12,8 +12,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .rings import CoefficientRing
-from .terms import TermOrder, term_degree, term_mul
+from .rings import CoefficientRing, RingError
+from .terms import TermOrder, term_mul
 
 MAX_VARIABLES = 16
 
@@ -174,17 +174,6 @@ class Polynomial:
     def head_term(self) -> tuple:
         return self.monomials[0][1]
 
-    @property
-    def rest(self) -> "Polynomial":
-        """Everything below the head monomial."""
-        return Polynomial(self.ring, self.monomials[1:])
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.monomials:
-            return -1
-        return max(term_degree(t) for _, t in self.monomials)
-
     def keyed_monomials(self) -> tuple:
         """``monomials`` with each term replaced by its order's heap key.
 
@@ -197,12 +186,6 @@ class Polynomial:
             key = self.ring.order.heap_key
             self._keyed = tuple((c, key(t)) for c, t in self.monomials)
             return self._keyed
-
-    def coefficient(self, term: tuple):
-        for c, t in self.monomials:
-            if t == term:
-                return c
-        return self.ring.coeff_ring.zero()
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -295,7 +278,10 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.ring.constant(other)
+            try:
+                other = self.ring.constant(other)
+            except RingError:
+                return False  # a value outside the ring equals no polynomial
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.ring == other.ring and self.monomials == other.monomials

@@ -38,7 +38,7 @@ from operator import add as add_int, ge, sub
 from typing import NamedTuple
 
 from .poly import Polynomial
-from .terms import term_div, term_divides, term_mul
+from .terms import term_div, term_divides
 
 
 class StepLimitExceeded(RuntimeError):
@@ -97,9 +97,6 @@ class SeededRandomStrategy:
         return f"SeededRandomStrategy({self.seed})"
 
 
-_DEFAULT = FirstReducibleStrategy()
-
-
 def _check_inputs(p: Polynomial, basis):
     ring = p.ring
     for b in basis:
@@ -119,28 +116,6 @@ def iter_reduction_steps(p: Polynomial, basis):
                 hit = ring.reduce_step(c, head_c)
                 if hit is not None:
                     yield ReductionStep(idx, t, term_div(t, head_t), hit[0], hit[1])
-
-
-def find_reduction(p: Polynomial, basis, strategy=None):
-    """A step chosen by ``strategy``, or None when p is in normal form."""
-    _check_inputs(p, basis)
-    strategy = strategy or _DEFAULT
-    return strategy.select(iter_reduction_steps(p, basis))
-
-
-def apply_step(p: Polynomial, step: ReductionStep, basis) -> Polynomial:
-    """Apply a step produced by ``find_reduction`` on this p and basis."""
-    if not 0 <= step.reducer < len(basis):
-        raise ValueError(f"reducer index {step.reducer} out of range")
-    b = basis[step.reducer]
-    c = p.coefficient(step.term)
-    expected = p.ring.coeff_ring.reduce_step(c, b.head_coeff) if c else None
-    if (
-        term_mul(step.cofactor_term, b.head_term) != step.term
-        or expected != (step.coefficient, step.remainder)
-    ):
-        raise ValueError("stale reduction step for this polynomial and basis")
-    return p - b.mul_monomial(step.coefficient, step.cofactor_term)
 
 
 def _reduce(p: Polynomial, basis, budget, collected):

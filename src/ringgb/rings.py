@@ -1,12 +1,13 @@
 """Exact coefficient rings pluggable into the polynomial layer.
 
 Three rings ship: prime fields GF(p), the rationals, and the integers.
-Each exposes the same small contract: exact arithmetic on canonical
-values, a single-step division-with-remainder reduction, a gcd-style
-generator basis for finitely generated ideals together with both
-change-of-basis matrices, and a generating set for the solutions of
-``a1*c1 + a2*c2 = 0``.  The completion machinery is generic over this
-contract, so further rings can be added without touching it.
+Each exposes the same small contract, which is what completion calls:
+exact arithmetic on canonical values, a single-step
+division-with-remainder reduction, a gcd-style generator basis of the
+ideal some values generate with the rows that express it in them, and
+the generator of the solutions of ``a1*c1 + a2*c2 = 0``.  The
+completion machinery is generic over this contract, so further rings
+can be added without touching it.
 
 Values are plain Python objects (ints for GF(p) and ZZ, ``Fraction``
 for QQ) kept in a form unique per ring value; arithmetic never rounds.
@@ -86,9 +87,6 @@ class CoefficientRing:
     """
 
     name = "?"
-    #: True when reduction by canonical remainders gives every ring
-    #: element a unique normal form.  Holds for all shipped rings.
-    admits_strong_groebner = True
 
     def _key(self):
         return (type(self).__name__,)
@@ -166,28 +164,16 @@ class CoefficientRing:
     def groebner(self, values):
         """Canonical generator basis of the ideal the values generate.
 
-        Returns ``(basis, to_basis, from_basis)`` where ``to_basis[i]``
-        expresses ``basis[i]`` as a combination of the inputs and
-        ``from_basis[j]`` expresses input ``j`` over ``basis``.
+        Returns ``(basis, to_basis)`` where ``to_basis[i]`` expresses
+        ``basis[i]`` as a combination of the inputs.
         """
         raise NotImplementedError
 
-    def syzygies(self, coefficients):
-        """Generators for the solutions of ``a1*c1 + ... + aj*cj = 0``.
-
-        The shipped rings are principal ideal domains, where the pair
-        case generates the whole solution module; other arities are
-        rejected with ``RingError``.
-        """
-        coeffs = [self.element(c) for c in coefficients]
-        if any(self.is_zero(c) for c in coeffs):
+    def syzygies(self, a, b):
+        """Generators ``(a1, a2)`` of the solutions of ``a1*a + a2*b = 0``."""
+        a, b = self.element(a), self.element(b)
+        if self.is_zero(a) or self.is_zero(b):
             raise RingError("syzygy coefficients must be nonzero")
-        if len(coeffs) != 2:
-            raise RingError(
-                f"{self.name} supports syzygies of pairs only, "
-                f"got {len(coeffs)} coefficients"
-            )
-        a, b = coeffs
         common = self._lcm_pair(a, b)
         return [(self.exact_div(common, a), self.neg(self.exact_div(common, b)))]
 
@@ -228,7 +214,7 @@ class _FieldMixin:
         vals = self._check_nonzero_list(values)
         row = [self.zero()] * len(vals)
         row[0] = self._div(self.one(), vals[0])
-        return [self.one()], [row], [[v] for v in vals]
+        return [self.one()], [row]
 
     def _lcm_pair(self, a, b):
         return self.one()
@@ -390,7 +376,7 @@ class Integers(CoefficientRing):
             row[idx] = v
         if g < 0:
             g, row = -g, [-entry for entry in row]
-        return [g], [row], [[v // g] for v in vals]
+        return [g], [row]
 
     def _lcm_pair(self, a, b):
         return abs(a * b) // math.gcd(a, b)

@@ -11,10 +11,6 @@ from operator import neg
 _ORDER_KINDS = ("lex", "deglex")
 
 
-def unit_term(nvars: int) -> tuple:
-    return (0,) * nvars
-
-
 def term_mul(s: tuple, t: tuple) -> tuple:
     return tuple(a + b for a, b in zip(s, t))
 
@@ -33,24 +29,6 @@ def term_divides(s: tuple, t: tuple) -> bool:
 
 def term_lcm(s: tuple, t: tuple) -> tuple:
     return tuple(max(a, b) for a, b in zip(s, t))
-
-
-def term_degree(t: tuple) -> int:
-    return sum(t)
-
-
-def min_terms(terms) -> list:
-    """Divisibility-minimal elements of a finite term collection.
-
-    The result is an antichain covering the input: no member divides
-    another, and every input term is divisible by some member.
-    """
-    unique = sorted(set(terms), key=lambda t: (term_degree(t), t))
-    keep = []
-    for t in unique:
-        if not any(term_divides(s, t) for s in keep):
-            keep.append(t)
-    return keep
 
 
 class TermOrder:
@@ -104,15 +82,6 @@ class TermOrder:
         for e, i in zip(key, self.precedence):
             term[i] = -e
         return tuple(term)
-
-    def compare(self, t1: tuple, t2: tuple) -> int:
-        """-1, 0, or 1 as t1 is below, equal to, or above t2."""
-        k1, k2 = self.sort_key(t1), self.sort_key(t2)
-        if k1 < k2:
-            return -1
-        if k1 > k2:
-            return 1
-        return 0
 
     def __eq__(self, other):
         return (

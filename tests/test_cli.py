@@ -4,8 +4,7 @@ import sys
 
 import pytest
 
-from ringgb.cli import SessionConfig, build_arg_parser, config_from_args, run
-from ringgb.rings import Integers, Rationals
+from ringgb.cli import build_arg_parser, run
 
 GOLDEN_FIELD = "x - y^2\ny^3 - 1\n"
 GOLDEN_INT = "x*y\n2*x\n3*y\n"
@@ -147,30 +146,38 @@ def test_missing_subcommand_exits_2():
     assert result.returncode == 2
 
 
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of ``run`` on the parsed ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    code = run(build_arg_parser().parse_args(argv), out=out, err=err)
+    return code, out.getvalue(), err.getvalue()
+
+
 def test_run_in_process():
-    config = SessionConfig(
-        ring=Rationals(),
-        variables=("x", "y"),
-        order="lex",
-        command="gb",
-        generators=["x^2 - y", "x*y - 1"],
-    )
-    out = io.StringIO()
-    assert run(config, out=out, err=io.StringIO()) == 0
-    assert out.getvalue() == GOLDEN_FIELD
+    argv = ["gb", "--ring", "qq", "--vars", "x,y", "x^2 - y", "x*y - 1"]
+    assert run_in_process(argv) == (0, GOLDEN_FIELD, "")
 
 
 def test_config_from_args_collects_sources(tmp_path):
     ideal = tmp_path / "gens.txt"
     ideal.write_text("x\n# skip\n\ny\n", encoding="utf-8")
-    args = build_arg_parser().parse_args(
-        ["member", "--ring", "zz", "--vars", "x,y", "--input", str(ideal),
-         "--seed", "3", "x + y", "x*y"]
-    )
-    config = config_from_args(args)
-    assert config.ring == Integers()
-    assert config.variables == ("x", "y")
-    assert config.generators == ["x", "y", "x*y"]
-    assert config.query == "x + y"
-    assert config.seed == 3
-    assert config.command == "member"
+    argv = ["member", "--ring", "zz", "--vars", "x,y", "--input", str(ideal),
+            "--seed", "3", "x + y", "x*y"]
+    # generators x, y from the file, then x*y; the query is x + y
+    assert run_in_process(argv) == (0, "YES\n1\n1\n0\n", "")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no integer printing limit"
+)
+@pytest.mark.parametrize("command", ["gb", "member"])
+def test_oversized_output_coefficient_leaves_stdout_empty(command):
+    # z - x*y reduces to z - a*b, whose coefficient has 6000 digits; the
+    # seeded member run answers YES with a certificate holding one too
+    a, b = "7" * 3000, "3" * 3000
+    query = ["--seed", "1", f"x*z - x^2*y + x^2 - {a}*x"] if command == "member" else []
+    result = invoke(command, "--ring", "qq", "--vars", "x,y,z", *query,
+                    f"x - {a}", f"y - {b}", "z - x*y")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "exceeds the 4300-digit printing limit" in result.stderr

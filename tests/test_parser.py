@@ -26,8 +26,7 @@ def test_parse_cancellation_prints_zero():
 
 def test_parse_rational_coefficients():
     p = parse_polynomial("-1/2*x + y", QQ_XY)
-    assert p.coefficient((1, 0)) == Fraction(-1, 2)
-    assert p.coefficient((0, 1)) == 1
+    assert p.monomials == ((Fraction(-1, 2), (1, 0)), (1, (0, 1)))
 
 
 def test_parse_optional_star_and_whitespace():

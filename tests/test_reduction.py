@@ -8,8 +8,6 @@ from ringgb.reduction import (
     SeededRandomStrategy,
     StepBudget,
     StepLimitExceeded,
-    apply_step,
-    find_reduction,
     iter_reduction_steps,
     normal_form,
     normal_form_with_cofactors,
@@ -40,9 +38,19 @@ def random_basis(rng, ring, max_size=3):
     return basis
 
 
+def first_step(p, basis):
+    """The default strategy's step, or None when p is in normal form."""
+    return next(iter_reduction_steps(p, basis), None)
+
+
+def apply_step(p, step, basis):
+    """p after ``step``, as the generic reduction loop applies it."""
+    return p - basis[step.reducer].mul_monomial(step.coefficient, step.cofactor_term)
+
+
 def test_find_reduction_head_example():
     x = QQ_X.gens()[0]
-    step = find_reduction(x**2, [x - 1])
+    step = first_step(x**2, [x - 1])
     assert step.reducer == 0
     assert step.term == (2,)
     assert step.cofactor_term == (1,)
@@ -53,40 +61,28 @@ def test_find_reduction_head_example():
 def test_find_reduction_respects_coefficient_domain():
     x, y = ZZ_XY.gens()
     # coefficient 1 is not reducible by 2 under symmetric remainders
-    assert find_reduction(x * y, [2 * x]) is None
+    assert first_step(x * y, [2 * x]) is None
 
 
 def test_find_reduction_zero_polynomial():
-    assert find_reduction(QQ_X.zero(), [QQ_X.gens()[0]]) is None
+    assert first_step(QQ_X.zero(), [QQ_X.gens()[0]]) is None
 
 
 def test_apply_step_examples():
     x = QQ_X.gens()[0]
     p = x**2
-    step = find_reduction(p, [x - 1])
+    step = first_step(p, [x - 1])
     assert apply_step(p, step, [x - 1]) == x
 
     zx = ZZ_XY.gens()[0]
     p = 7 * zx
-    step = find_reduction(p, [3 * zx])
+    step = first_step(p, [3 * zx])
     assert step.coefficient == 2
     assert apply_step(p, step, [3 * zx]) == zx
 
     p = 4 * zx
-    step = find_reduction(p, [2 * zx])
+    step = first_step(p, [2 * zx])
     assert not apply_step(p, step, [2 * zx])
-
-
-def test_apply_step_rejects_stale_steps():
-    x = QQ_X.gens()[0]
-    basis = [x - 1]
-    step = find_reduction(x**2, basis)
-    with pytest.raises(ValueError, match="stale"):
-        apply_step(x**3, step, basis)
-    with pytest.raises(ValueError, match="stale"):
-        apply_step(2 * x**2, step, basis)
-    with pytest.raises(ValueError, match="out of range"):
-        apply_step(x**2, step, [])
 
 
 def test_normal_form_examples():
@@ -116,7 +112,7 @@ def test_normal_form_is_irreducible_and_sound():
             p = random_poly(rng, ring)
             basis = random_basis(rng, ring)
             result, cofactors = normal_form_with_cofactors(p, basis)
-            assert find_reduction(result, basis) is None
+            assert first_step(result, basis) is None
             recombined = result
             for cof, b in zip(cofactors, basis):
                 recombined = recombined + cof * b
@@ -129,14 +125,14 @@ def test_steps_are_sound_one_by_one():
         ring = rng.choice([QQ_XY, ZZ_XY, GF5_XY])
         p = random_poly(rng, ring)
         basis = random_basis(rng, ring)
-        step = find_reduction(p, basis)
+        step = first_step(p, basis)
         if step is None:
             continue
         q = apply_step(p, step, basis)
         difference = p - q
         b = basis[step.reducer]
         assert difference == b.mul_monomial(step.coefficient, step.cofactor_term)
-        assert q.coefficient(step.term) == step.remainder
+        assert dict((t, c) for c, t in q.monomials).get(step.term, 0) == step.remainder
 
 
 def test_termination_budget_never_trips_at_desk_scale():
@@ -169,11 +165,11 @@ def test_randomized_strategy_takes_valid_steps():
         p = random_poly(rng, ring)
         basis = random_basis(rng, ring)
         strategy = SeededRandomStrategy(seed)
-        step = find_reduction(p, basis, strategy)
+        step = strategy.select(iter_reduction_steps(p, basis))
         if step is not None:
             assert step in list(iter_reduction_steps(p, basis))
         result, cofactors = normal_form_with_cofactors(p, basis, strategy)
-        assert find_reduction(result, basis) is None
+        assert first_step(result, basis) is None
         recombined = result
         for cof, b in zip(cofactors, basis):
             recombined = recombined + cof * b

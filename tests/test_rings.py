@@ -93,17 +93,16 @@ def test_xgcd_identity():
 
 
 def test_int_groebner_examples():
-    assert ZZ.groebner([4, 6]) == ([2], [[-1, 1]], [[2], [3]])
-    assert ZZ.groebner([6]) == ([6], [[1]], [[1]])
-    assert ZZ.groebner([-6]) == ([6], [[-1]], [[-1]])
+    assert ZZ.groebner([4, 6]) == ([2], [[-1, 1]])
+    assert ZZ.groebner([6]) == ([6], [[1]])
+    assert ZZ.groebner([-6]) == ([6], [[-1]])
 
 
 def test_field_groebner_examples():
-    assert GF5.groebner([2]) == ([1], [[3]], [[2]])
-    gb, to_gb, from_gb = QQ.groebner([Fraction(2, 3)])
+    assert GF5.groebner([2]) == ([1], [[3]])
+    gb, to_gb = QQ.groebner([Fraction(2, 3)])
     assert gb == [1]
     assert to_gb == [[Fraction(3, 2)]]
-    assert from_gb == [[Fraction(2, 3)]]
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF5])
@@ -116,24 +115,21 @@ def test_groebner_representation_identities(ring):
             v = ring.element(rng.randint(-20, 20))
             if not ring.is_zero(v):
                 values.append(v)
-        gb, to_gb, from_gb = ring.groebner(values)
+        gb, to_gb = ring.groebner(values)
         for g, row in zip(gb, to_gb):
             acc = ring.zero()
             for coeff, v in zip(row, values):
                 acc = ring.add(acc, ring.mul(coeff, v))
             assert acc == g
-        for v, row in zip(values, from_gb):
-            acc = ring.zero()
-            for coeff, g in zip(row, gb):
-                acc = ring.add(acc, ring.mul(coeff, g))
-            assert acc == v
+        for v in values:  # every input lies in the ideal of the basis
+            assert any(ring.reduce_step(v, g) == (ring.exact_div(v, g), ring.zero()) for g in gb)
 
 
 def test_int_groebner_gcd_is_positive_and_divides():
     rng = random.Random(10)
     for _ in range(200):
         values = [v for v in (rng.randint(-30, 30) for _ in range(3)) if v] or [4]
-        (g,), _, _ = ZZ.groebner(values)
+        (g,), _ = ZZ.groebner(values)
         assert g > 0
         assert all(v % g == 0 for v in values)
 
@@ -147,9 +143,9 @@ def test_groebner_rejects_bad_input(ring):
 
 
 def test_syzygy_examples():
-    assert ZZ.syzygies([2, 3]) == [(3, -2)]
-    assert QQ.syzygies([1, 1]) == [(1, -1)]
-    assert GF5.syzygies([2, 3]) == [(3, 3)]  # (3, -2) in canonical residues
+    assert ZZ.syzygies(2, 3) == [(3, -2)]
+    assert QQ.syzygies(1, 1) == [(1, -1)]
+    assert GF5.syzygies(2, 3) == [(3, 3)]  # (3, -2) in canonical residues
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF5])
@@ -161,7 +157,7 @@ def test_syzygy_dots_to_zero(ring):
             v = ring.element(rng.randint(-15, 15))
             if not ring.is_zero(v):
                 coeffs.append(v)
-        for vec in ring.syzygies(coeffs):
+        for vec in ring.syzygies(*coeffs):
             dot = ring.add(ring.mul(vec[0], coeffs[0]), ring.mul(vec[1], coeffs[1]))
             assert ring.is_zero(dot)
 
@@ -169,18 +165,16 @@ def test_syzygy_dots_to_zero(ring):
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF5])
 def test_syzygy_rejects_bad_input(ring):
     with pytest.raises(RingError):
-        ring.syzygies([ring.one(), ring.zero()])
-    with pytest.raises(RingError, match="pairs only"):
-        ring.syzygies([ring.one(), ring.one(), ring.one()])
-    with pytest.raises(RingError, match="pairs only"):
-        ring.syzygies([ring.one()])
+        ring.syzygies(ring.one(), ring.zero())
+    with pytest.raises(RingError):
+        ring.syzygies(ring.zero(), ring.one())
 
 
 def test_int_syzygy_generates_all_small_solutions():
     # every |a_i| <= 20 solution is an integer multiple of the generator
     for c1 in axiom_checks.nonzero_range(8):
         for c2 in axiom_checks.nonzero_range(8):
-            ((g1, g2),) = ZZ.syzygies([c1, c2])
+            ((g1, g2),) = ZZ.syzygies(c1, c2)
             for a1 in range(-20, 21):
                 for a2 in range(-20, 21):
                     if a1 * c1 + a2 * c2 != 0:
@@ -192,7 +186,7 @@ def test_int_syzygy_generates_all_small_solutions():
 def test_gf5_syzygy_generates_exhaustively():
     for c1 in range(1, 5):
         for c2 in range(1, 5):
-            ((g1, g2),) = GF5.syzygies([c1, c2])
+            ((g1, g2),) = GF5.syzygies(c1, c2)
             for a1 in range(5):
                 for a2 in range(5):
                     if (a1 * c1 + a2 * c2) % 5 != 0:
@@ -243,9 +237,6 @@ def test_exact_div():
 
 
 def test_ring_descriptors():
-    assert ZZ.admits_strong_groebner
-    assert QQ.admits_strong_groebner
-    assert GF5.admits_strong_groebner
     assert PrimeField(5) == GF5
     assert PrimeField(7) != GF5
     assert Integers() == ZZ and Integers() != QQ
