@@ -14,6 +14,7 @@ Input problems exit 2 with a message on standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .completion import complete, ideal_membership, interreduce
@@ -128,8 +129,14 @@ def run(args: argparse.Namespace, out=None, err=None) -> int:
     return code
 
 
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    # Built once per process: building costs more than many small runs.
+    return build_arg_parser()
+
+
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     try:
         return run(args)
     except (InputError, RingError, PolynomialSyntaxError, StepLimitExceeded, ValueError) as exc:

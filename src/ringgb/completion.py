@@ -13,6 +13,16 @@ Every basis element carries an exact combination certificate over the
 original generators, maintained through both the pair construction and
 the reduction cofactors, so ideal preservation is witnessed rather than
 assumed.
+
+Most pair polynomials reduce to zero, so the loop builds nothing that
+only a nonzero remainder needs.  Pair polynomials come from
+``combinations_for`` as the reduction kernel's ``heap key ->
+coefficient`` accumulators and are reduced from there (only another
+strategy's generic loop turns them into a ``Polynomial``).  The kernel
+records each used reducer's cofactor as a keyed dict; cofactor
+polynomials, and the certificate they feed, are built only when the
+remainder is nonzero.  The basis is consistent by construction, so it
+is not re-checked for each normal form.
 """
 
 from __future__ import annotations
@@ -22,7 +32,13 @@ from dataclasses import dataclass
 
 from .pairs import combinations_for, pair_records, record_sort_key
 from .poly import Polynomial
-from .reduction import StepBudget, normal_form, normal_form_with_cofactors
+from .reduction import (
+    StepBudget,
+    _check_inputs,
+    _normal_form_keyed,
+    normal_form,
+    normal_form_with_cofactors,
+)
 
 #: Safety valve only; termination is guaranteed by the ascending chain
 #: condition, so desk-scale inputs never come near this.
@@ -93,16 +109,18 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
             iterations += 1
             if not q:
                 continue
-            result, cofactors = normal_form_with_cofactors(q, basis, strategy, budget)
+            collected = {}
+            result = _normal_form_keyed(poly_ring, q, basis, strategy, budget, collected)
             if not result:
                 continue
+            cofactors = [(m, poly_ring._from_keyed(acc)) for m, acc in collected.items()]
             cert_row = []
             for g in range(len(gens)):
                 entry = (
                     certs[record.i][g].mul_monomial(a1, s1)
                     + certs[record.j][g].mul_monomial(a2, s2)
                 )
-                for m, cof in enumerate(cofactors):
+                for m, cof in cofactors:
                     if cof:
                         entry = entry - cof * certs[m][g]
                 cert_row.append(entry)
@@ -168,10 +186,14 @@ def is_groebner_basis(basis, *, strategy=None) -> bool:
     basis = list(basis)
     if not all(basis):
         raise ValueError("critical pairs require nonzero basis entries")
+    if not basis:
+        return True
+    poly_ring = basis[0].ring
+    _check_inputs(basis[0], basis)
     for j in range(len(basis)):
         for record in pair_records(basis, j):
             for q, _ in combinations_for(basis, record):
-                if q and normal_form(q, basis, strategy):
+                if q and _normal_form_keyed(poly_ring, q, basis, strategy, None, None):
                     return False
     return True
 
@@ -202,9 +224,13 @@ def ideal_membership(
 
     Completes the generators first (or reuses a ``trace`` from an
     earlier ``complete`` run over the same generators), then reduces p.
+    Raises ``ValueError`` when ``trace`` was completed from other
+    generators: its certificates would not be over ``generators``.
     """
     if trace is None:
         trace = complete(generators, strategy=strategy, max_steps=max_steps)
+    elif tuple(generators) != trace.generators:
+        raise ValueError("the trace was completed from different generators")
     if not trace.basis:
         if p:
             return MembershipResult(False, None, p)

@@ -137,6 +137,15 @@ class PolyRing:
         monos.reverse()
         return Polynomial(self, tuple(monos))
 
+    def _from_keyed(self, mapping: dict) -> "Polynomial":
+        # Trusted path from a ``heap key -> coefficient`` map, zeros allowed.
+        is_zero = self.coeff_ring.is_zero
+        term_of = self.order.term_from_heap_key
+        monos = tuple(
+            (mapping[k], term_of(k)) for k in sorted(mapping) if not is_zero(mapping[k])
+        )
+        return Polynomial(self, monos) if monos else self._zero
+
     def _coerce(self, value):
         if isinstance(value, Polynomial):
             if value.ring != self:

@@ -18,7 +18,12 @@ pending term, and applies the first reducer in basis order whose head
 divides it and whose ``reduce_step`` hits, again and again until none
 does.  Each step subtracts k*s*tail(b) into the dict in place; what is
 left of the term is final and is emitted, so the remainder comes out
-in descending order without a sort.
+in descending order without a sort.  The kernel can start from such a
+dict as well as from a ``Polynomial``: completion hands it each pair
+polynomial in that form.  Cofactors are collected per reducer, in a
+dict created at the reducer's first step, so reducers that take no
+step cost nothing; ``normal_form_with_cofactors`` still returns one
+cofactor per basis element, the zero polynomial for those.
 
 The kernel takes the same steps, in the same order, as the generic loop
 under ``FirstReducibleStrategy``.  That loop rescans q from its head,
@@ -32,7 +37,7 @@ cofactors are identical.
 from __future__ import annotations
 
 import random
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import islice
 from operator import add as add_int, ge, sub
 from typing import NamedTuple
@@ -118,25 +123,25 @@ def iter_reduction_steps(p: Polynomial, basis):
                     yield ReductionStep(idx, t, term_div(t, head_t), hit[0], hit[1])
 
 
-def _reduce(p: Polynomial, basis, budget, collected):
-    """Yield the monomials of p's default-strategy normal form, highest first.
+def _reduce(poly_ring, acc: dict, basis, budget, collected):
+    """Yield the monomials of the default-strategy normal form, highest first.
 
-    Each step's coefficient k is added into ``collected[reducer]`` (a
-    dict keyed by cofactor term) unless ``collected`` is None.
+    ``acc`` holds the polynomial to reduce as ``heap key -> coefficient``
+    (zero entries allowed) and is consumed.  Each step's coefficient k
+    is added into ``collected[reducer]``, a dict keyed by the cofactor
+    term's heap key that is created on the reducer's first step, unless
+    ``collected`` is None.
     """
-    poly_ring = p.ring
     ring = poly_ring.coeff_ring
-    order = poly_ring.order
-    key_of = order.heap_key
-    term_of = order.term_from_heap_key
+    term_of = poly_ring.order.term_from_heap_key
     add, mul, neg, is_zero = ring.add, ring.mul, ring.neg, ring.is_zero
     reduce_step = ring.reduce_step
     keyed = [b.keyed_monomials() for b in basis]
     heads = [(kb[0][1], kb[0][0]) for kb in keyed]
-    # Pending terms by heap key; a coefficient that cancels stays as a
-    # zero entry so that the key is never pushed twice.
-    acc = {key_of(t): c for c, t in p.monomials}
-    heap = list(acc)  # p is descending, so its keys are ascending: a heap
+    # A coefficient that cancels stays in ``acc`` as a zero entry, so
+    # that its key is never pushed twice.
+    heap = list(acc)
+    heapify(heap)
     while heap:
         kt = heappop(heap)
         c = acc.pop(kt)
@@ -165,23 +170,32 @@ def _reduce(p: Polynomial, basis, budget, collected):
                 else:
                     acc[ku] = add(old, x)
             if collected is not None:
-                cofactor = collected[i]
-                s = term_of(ks)
-                old = cofactor.get(s)
-                cofactor[s] = k if old is None else add(old, k)
+                cofactor = collected.get(i)
+                if cofactor is None:
+                    collected[i] = {ks: k}
+                else:
+                    old = cofactor.get(ks)
+                    cofactor[ks] = k if old is None else add(old, k)
             if is_zero(c):
                 break
         if not is_zero(c):
             yield c, term_of(kt)
 
 
-def _normal_form(p: Polynomial, basis, strategy, budget, collected) -> Polynomial:
-    """The normal form of p, adding each step into ``collected`` as ``_reduce`` does."""
-    _check_inputs(p, basis)
+def _keyed(p: Polynomial) -> dict:
+    key_of = p.ring.order.heap_key
+    return {key_of(t): c for c, t in p.monomials}
+
+
+def _uses_kernel(strategy) -> bool:
     # Subclasses may override ``select``, so only the class itself runs the kernel.
-    if strategy is None or type(strategy) is FirstReducibleStrategy:
-        return Polynomial(p.ring, tuple(_reduce(p, basis, budget, collected)))
+    return strategy is None or type(strategy) is FirstReducibleStrategy
+
+
+def _generic_normal_form(p: Polynomial, basis, strategy, budget, collected) -> Polynomial:
+    """``strategy.select`` picks every step; ``collected`` as in ``_reduce``."""
     add = p.ring.coeff_ring.add
+    key_of = p.ring.order.heap_key
     q = p
     while True:
         step = strategy.select(iter_reduction_steps(q, basis))
@@ -191,10 +205,30 @@ def _normal_form(p: Polynomial, basis, strategy, budget, collected) -> Polynomia
             budget.spend()
         q = q - basis[step.reducer].mul_monomial(step.coefficient, step.cofactor_term)
         if collected is not None:
-            cofactor = collected[step.reducer]
-            old = cofactor.get(step.cofactor_term)
+            cofactor = collected.setdefault(step.reducer, {})
+            ks = key_of(step.cofactor_term)
+            old = cofactor.get(ks)
             k = step.coefficient
-            cofactor[step.cofactor_term] = k if old is None else add(old, k)
+            cofactor[ks] = k if old is None else add(old, k)
+
+
+def _normal_form_keyed(poly_ring, acc: dict, basis, strategy, budget, collected) -> Polynomial:
+    """Normal form of the polynomial held in ``acc``, a dict as ``_reduce`` takes.
+
+    Completion's entry point: the basis is not checked, and the pair
+    polynomial becomes a ``Polynomial`` only on the generic loop.
+    """
+    if _uses_kernel(strategy):
+        return Polynomial(poly_ring, tuple(_reduce(poly_ring, acc, basis, budget, collected)))
+    return _generic_normal_form(poly_ring._from_keyed(acc), basis, strategy, budget, collected)
+
+
+def _normal_form(p: Polynomial, basis, strategy, budget, collected) -> Polynomial:
+    """The normal form of p, adding each step into ``collected`` as ``_reduce`` does."""
+    _check_inputs(p, basis)
+    if _uses_kernel(strategy):
+        return Polynomial(p.ring, tuple(_reduce(p.ring, _keyed(p), basis, budget, collected)))
+    return _generic_normal_form(p, basis, strategy, budget, collected)
 
 
 def normal_form(p: Polynomial, basis, strategy=None, budget=None) -> Polynomial:
@@ -203,18 +237,21 @@ def normal_form(p: Polynomial, basis, strategy=None, budget=None) -> Polynomial:
 
 
 def normal_form_with_cofactors(p: Polynomial, basis, strategy=None, budget=None):
-    """Normal form plus cofactors: p = sum(cofactor[i]*basis[i]) + result."""
-    collected = [dict() for _ in basis]
+    """Normal form plus cofactors: p = sum(cofactor[i]*basis[i]) + result.
+
+    There is one cofactor per basis element; reducers that took no step
+    get the zero polynomial.
+    """
+    collected = {}
     q = _normal_form(p, basis, strategy, budget, collected)
-    is_zero = p.ring.coeff_ring.is_zero
-    cofactors = [
-        p.ring._from_dict({t: c for t, c in acc.items() if not is_zero(c)})
-        for acc in collected
+    ring = p.ring
+    zero = ring.zero()
+    return q, [
+        ring._from_keyed(collected[i]) if i in collected else zero for i in range(len(basis))
     ]
-    return q, cofactors
 
 
 def reduces_to_zero(p: Polynomial, basis) -> bool:
     """Whether p has 0 as a normal form under the default strategy."""
     _check_inputs(p, basis)
-    return next(_reduce(p, basis, None, None), None) is None
+    return next(_reduce(p.ring, _keyed(p), basis, None, None), None) is None

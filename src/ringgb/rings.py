@@ -12,6 +12,11 @@ can be added without touching it.
 Values are plain Python objects (ints for GF(p) and ZZ, ``Fraction``
 for QQ) kept in a form unique per ring value; arithmetic never rounds.
 Ring objects are stateless and hashable, safe to share across threads.
+
+``reduce_step`` runs once per candidate reducer in the reduction
+kernel's inner loop, so it takes ring elements (values as ``element``
+returns them) and does not coerce its arguments; ``groebner`` and
+``syzygies``, called once per critical pair, still coerce.
 """
 
 from __future__ import annotations
@@ -80,10 +85,11 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 class CoefficientRing:
     """Contract shared by the shipped coefficient rings.
 
-    The binary arithmetic methods assume canonical inputs and return
-    canonical outputs; ``element`` and ``from_fraction`` are the entry
-    points that canonicalize foreign values.  ``reduce_step``,
-    ``groebner`` and ``syzygies`` accept anything ``element`` accepts.
+    The binary arithmetic methods and ``reduce_step`` assume canonical
+    inputs and return canonical outputs; ``element`` and
+    ``from_fraction`` are the entry points that canonicalize foreign
+    values.  ``groebner`` and ``syzygies`` accept anything ``element``
+    accepts.
     """
 
     name = "?"
@@ -155,9 +161,12 @@ class CoefficientRing:
     def reduce_step(self, c, b):
         """One division step of ``c`` by nonzero ``b``.
 
-        Returns ``(k, d)`` with ``c = k*b + d``, ``k`` nonzero and ``d``
-        strictly below ``c`` in the ring's well-founded order, or ``None``
-        when ``c`` is already in normal form with respect to ``b``.
+        ``c`` and ``b`` must be ring elements, as ``element`` returns
+        them: the step is tried for every candidate reducer of every
+        term, so it does not coerce.  Returns ``(k, d)`` with
+        ``c = k*b + d``, ``k`` nonzero and ``d`` strictly below ``c`` in
+        the ring's well-founded order, or ``None`` when ``c`` is already
+        in normal form with respect to ``b``.
         """
         raise NotImplementedError
 
@@ -202,8 +211,6 @@ class _FieldMixin:
         return self._div(a, b)
 
     def reduce_step(self, c, b):
-        c = self.element(c)
-        b = self.element(b)
         if self.is_zero(b):
             raise RingError("reduction by zero")
         if self.is_zero(c):
@@ -353,8 +360,6 @@ class Integers(CoefficientRing):
         return abs(a)
 
     def reduce_step(self, c, b):
-        c = self.element(c)
-        b = self.element(b)
         if b == 0:
             raise RingError("reduction by zero")
         m = abs(b)

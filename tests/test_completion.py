@@ -13,6 +13,8 @@ from ringgb.poly import PolyRing
 from ringgb.reduction import SeededRandomStrategy, StepLimitExceeded, reduces_to_zero
 from ringgb.rings import Integers, PrimeField, Rationals
 
+from corpus import corpus
+
 QQ_XY = PolyRing(Rationals(), ["x", "y"])
 ZZ_XY = PolyRing(Integers(), ["x", "y"])
 GF5_XY = PolyRing(PrimeField(5), ["x", "y"])
@@ -180,6 +182,25 @@ def test_membership_certificates_expand_to_the_query():
             for cofactor, g in zip(result.certificate, gens):
                 acc = acc + cofactor * g
             assert acc == member
+
+
+def test_membership_rejects_a_trace_of_other_generators():
+    zx, zy = ZZ_XY.gens()
+    trace = complete([2 * zx, 3 * zy])
+    # x is in <x>, but not in the ideal the trace was completed from.
+    with pytest.raises(ValueError, match="different generators"):
+        ideal_membership(zx, [zx], trace=trace)
+    # A third generator would have no entry in the trace's certificates.
+    with pytest.raises(ValueError, match="different generators"):
+        ideal_membership(6 * zx * zy, [2 * zx, 3 * zy, zx + zy], trace=trace)
+    assert ideal_membership(6 * zx * zy, (2 * zx, 3 * zy), trace=trace).is_member
+
+
+def test_zz_corpus_completion_totals():
+    zz = [entry.trace for entry in corpus() if entry.ring_name == "zz"]
+    assert sum(t.iterations for t in zz) == 23_246
+    assert sum(len(t.added) for t in zz) == 943
+    assert sum(t.reduction_steps for t in zz) == 174_847
 
 
 def test_membership_of_empty_ideal():

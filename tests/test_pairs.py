@@ -26,10 +26,20 @@ def random_nonzero(rng, ring, max_exp=2, bound=4):
 
 
 def combinations(p1, p2, kind):
-    """combinations_for on the (0, 1) record of ``kind`` of the basis [p1, p2]."""
+    """combinations_for on the (0, 1) record of ``kind`` of the basis [p1, p2].
+
+    Each heap-key accumulator is turned into a ``Polynomial`` through the
+    public constructor, after checking that it holds no zero coefficient.
+    """
     basis = [p1, p2]
     (record,) = [r for r in pair_records(basis, 1) if r.kind == kind]
-    return combinations_for(basis, record)
+    R = p1.ring
+    out = []
+    for acc, combo in combinations_for(basis, record):
+        assert not any(R.coeff_ring.is_zero(c) for c in acc.values())
+        q = R.from_monomials((c, R.order.term_from_heap_key(k)) for k, c in acc.items())
+        out.append((q, combo))
+    return out
 
 
 def gcd_polynomials(p1, p2):

@@ -119,6 +119,19 @@ def test_normal_form_is_irreducible_and_sound():
             assert recombined == p
 
 
+@pytest.mark.parametrize("strategy", [None, SeededRandomStrategy(8)], ids=["kernel", "generic"])
+def test_cofactors_cover_every_basis_element(strategy):
+    zx, zy = ZZ_XY.gens()
+    # Only 2*x reduces anything: y + 5 and x^3 take no step.
+    basis = [zy + 5, 2 * zx, zx**3]
+    result, cofactors = normal_form_with_cofactors(4 * zx**2 + 3 * zx, basis, strategy)
+    assert result == zx
+    assert cofactors == [ZZ_XY.zero(), 2 * zx + 1, ZZ_XY.zero()]
+    result, cofactors = normal_form_with_cofactors(ZZ_XY.one(), basis, strategy)
+    assert result == ZZ_XY.one()
+    assert cofactors == [ZZ_XY.zero()] * 3
+
+
 def test_steps_are_sound_one_by_one():
     rng = random.Random(32)
     for _ in range(100):

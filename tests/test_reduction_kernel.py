@@ -14,6 +14,7 @@ import random
 import pytest
 
 from ringgb import Integers, PolyRing, PrimeField, Rationals, complete
+from ringgb.pairs import combinations_for, pair_records
 from ringgb.reduction import (
     FirstReducibleStrategy,
     StepBudget,
@@ -154,6 +155,33 @@ def test_completion_matches_rescan(name, make_ring, family):
     assert kernel.reduction_steps == generic.reduction_steps
     assert kernel.basis == generic.basis
     assert kernel.certificates == generic.certificates
+
+
+def test_completion_matches_rescan_on_zz_corpus_sample():
+    # ``complete`` builds pair polynomials as heap-key accumulators and
+    # reduces them from there; the generic loop gets a ``Polynomial``
+    # built from the same accumulator.  Some of these accumulators cancel
+    # to nothing and are skipped before any reduction.
+    cancelled = 0
+    for entry in [e for e in corpus() if e.ring_name == "zz"][::4]:
+        kernel = complete(entry.generators)
+        generic = complete(entry.generators, strategy=RescanFirstReducible())
+        assert kernel.iterations == generic.iterations
+        assert kernel.pairs_processed == generic.pairs_processed
+        assert kernel.reduction_steps == generic.reduction_steps
+        assert kernel.basis == generic.basis
+        assert kernel.added == generic.added
+        assert kernel.certificates == generic.certificates
+        # Completion takes every pair of its final basis, so these are the
+        # accumulators that cancelled during the run.
+        basis = kernel.basis
+        cancelled += sum(
+            not q
+            for j in range(len(basis))
+            for record in pair_records(basis, j)
+            for q, _ in combinations_for(basis, record)
+        )
+    assert cancelled > 0
 
 
 def test_step_limit_fires_at_the_same_step():
