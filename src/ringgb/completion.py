@@ -16,13 +16,12 @@ assumed.
 
 Most pair polynomials reduce to zero, so the loop builds nothing that
 only a nonzero remainder needs.  Pair polynomials come from
-``combinations_for`` as the reduction kernel's ``heap key ->
-coefficient`` accumulators and are reduced from there (only another
-strategy's generic loop turns them into a ``Polynomial``).  The kernel
-records each used reducer's cofactor as a keyed dict; cofactor
-polynomials, and the certificate they feed, are built only when the
-remainder is nonzero.  The basis is consistent by construction, so it
-is not re-checked for each normal form.
+``combinations_for`` as the reduction loop's ``heap key ->
+coefficient`` accumulators and are reduced from there, under every
+strategy.  The loop records each used reducer's cofactor as a keyed
+dict; cofactor polynomials, and the certificate they feed, are built
+only when the remainder is nonzero.  The basis is consistent by
+construction, so it is not re-checked for each normal form.
 """
 
 from __future__ import annotations
@@ -181,7 +180,7 @@ def interreduce(basis) -> list:
     return polys
 
 
-def is_groebner_basis(basis, *, strategy=None) -> bool:
+def is_groebner_basis(basis) -> bool:
     """Certificate check: every pairwise gcd and syzygy polynomial reduces to 0."""
     basis = list(basis)
     if not all(basis):
@@ -193,7 +192,7 @@ def is_groebner_basis(basis, *, strategy=None) -> bool:
     for j in range(len(basis)):
         for record in pair_records(basis, j):
             for q, _ in combinations_for(basis, record):
-                if q and _normal_form_keyed(poly_ring, q, basis, strategy, None, None):
+                if q and _normal_form_keyed(poly_ring, q, basis, None, None, None):
                     return False
     return True
 
@@ -224,18 +223,16 @@ def ideal_membership(
 
     Completes the generators first (or reuses a ``trace`` from an
     earlier ``complete`` run over the same generators), then reduces p.
-    Raises ``ValueError`` when ``trace`` was completed from other
-    generators: its certificates would not be over ``generators``.
+    Raises ``ValueError`` when p is from another ring than the
+    generators, or when ``trace`` was completed from other generators:
+    its certificates would not be over ``generators``.
     """
     if trace is None:
         trace = complete(generators, strategy=strategy, max_steps=max_steps)
     elif tuple(generators) != trace.generators:
         raise ValueError("the trace was completed from different generators")
-    if not trace.basis:
-        if p:
-            return MembershipResult(False, None, p)
-        zero = p.ring.zero()
-        return MembershipResult(True, tuple(zero for _ in trace.generators), p)
+    if trace.generators and p.ring != trace.generators[0].ring:
+        raise ValueError("query polynomial from a different ring")
     remainder, cofactors = normal_form_with_cofactors(p, trace.basis, strategy)
     if remainder:
         return MembershipResult(False, None, remainder)

@@ -66,6 +66,13 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def take_int(self):
+        text, col = self.take()
+        try:
+            return int(text), col
+        except ValueError:  # past Python's int-from-str digit limit
+            raise PolynomialSyntaxError(f"integer of {len(text)} digits is too long", col) from None
+
     def parse(self):
         if not self.tokens:
             raise PolynomialSyntaxError("empty polynomial", 1)
@@ -114,14 +121,13 @@ class _Parser:
         return coeff, tuple(exponents)
 
     def parse_number(self):
-        text, col = self.take()
-        numerator = int(text)
+        numerator, col = self.take_int()
         denominator = 1
         if self.peek() == "/":
             self.take()
             if self.peek() is None or not self.peek().isdigit():
                 raise PolynomialSyntaxError("expected an integer denominator", self.column())
-            denominator = int(self.take()[0])
+            denominator = self.take_int()[0]
         try:
             return self.ring.coeff_ring.from_fraction(numerator, denominator)
         except RingError as exc:
@@ -138,7 +144,7 @@ class _Parser:
             self.take()
             if self.peek() is None or not self.peek().isdigit():
                 raise PolynomialSyntaxError("expected an integer exponent", self.column())
-            exp = int(self.take()[0])
+            exp = self.take_int()[0]
         return index, exp
 
 

@@ -6,32 +6,25 @@ with nonzero quotient k.  The step replaces p by p - k*(t/HT(b))*b,
 which rewrites the coefficient at t to d and only otherwise touches
 terms below t, so repeated steps terminate for any choice of steps.
 
-A strategy picks one step among all valid ones, and the generic loop
-asks it again after every step: ``strategy.select(iter_reduction_steps(q,
-basis))`` on a freshly rebuilt q.  The default ``FirstReducibleStrategy``
-instead runs an in-place kernel, after the mutable accumulators of
-Monagan & Pearce ("Sparse polynomial division using a heap", JSC 46,
+One in-place loop serves every strategy, after the mutable accumulators
+of Monagan & Pearce ("Sparse polynomial division using a heap", JSC 46,
 2011) and Yan ("The geobucket data structure for polynomials", JSC 25,
-1998).  It keeps a ``heap key -> coefficient`` dict of the pending terms
-and a heap of their keys (``TermOrder.heap_key``), pops the largest
-pending term, and applies the first reducer in basis order whose head
-divides it and whose ``reduce_step`` hits, again and again until none
-does.  Each step subtracts k*s*tail(b) into the dict in place; what is
-left of the term is final and is emitted, so the remainder comes out
-in descending order without a sort.  The kernel can start from such a
-dict as well as from a ``Polynomial``: completion hands it each pair
-polynomial in that form.  Cofactors are collected per reducer, in a
-dict created at the reducer's first step, so reducers that take no
-step cost nothing; ``normal_form_with_cofactors`` still returns one
-cofactor per basis element, the zero polynomial for those.
+1998): a ``heap key -> coefficient`` dict of the pending terms and a
+heap of their keys (``TermOrder.heap_key``).  The loop pops the largest
+pending term; each step subtracts k*s*tail(b) into the dict in place.
+Once the popped term has no valid step it is final and is emitted, so
+the remainder comes out in descending order without a sort.  Cofactors
+are collected per reducer, in a dict created at its first step.
 
-The kernel takes the same steps, in the same order, as the generic loop
-under ``FirstReducibleStrategy``.  That loop rescans q from its head,
-but a step never touches a term above its own, and whether a monomial is
-reducible depends on nothing but its coefficient and term: the terms
-above the current one are therefore still irreducible, and its first
-valid step is the kernel's next step.  Step counts, remainders and
-cofactors are identical.
+The default ``FirstReducibleStrategy`` (or None) takes the first reducer
+in basis order that hits the popped term.  Any other strategy only
+chooses: while the popped term has a valid step, ``strategy.select``
+gets every valid step of the pending terms (as ``iter_reduction_steps``
+lists them) and may pick one at a lower term.  The terms above are
+final and have no step, as a step never touches a term above its own
+and reducibility depends only on a monomial's coefficient and term.  So
+the candidates are those of a loop that rescans the polynomial after
+every step, and the default rule's first one is the default path's step.
 """
 
 from __future__ import annotations
@@ -43,7 +36,6 @@ from operator import add as add_int, ge, sub
 from typing import NamedTuple
 
 from .poly import Polynomial
-from .terms import term_div, term_divides
 
 
 class StepLimitExceeded(RuntimeError):
@@ -76,7 +68,13 @@ class ReductionStep(NamedTuple):
 
 
 class FirstReducibleStrategy:
-    """Largest reducible monomial first, reducers tried in basis order."""
+    """Largest reducible monomial first, reducers tried in basis order.
+
+    ``select(candidates)`` returns one of the valid steps it is given.
+    Reduction calls it only while a step exists and raises ``ValueError``
+    if it returns None.  Only this class itself, not a subclass, takes
+    the default path, which lists no candidates.
+    """
 
     def select(self, candidates):
         return next(candidates, None)
@@ -86,7 +84,7 @@ class FirstReducibleStrategy:
 
 
 class SeededRandomStrategy:
-    """Uniform seeded choice among all valid steps; for uniqueness testing."""
+    """Uniform seeded choice among all valid steps, one draw per step; for uniqueness testing."""
 
     def __init__(self, seed):
         self.seed = seed
@@ -111,20 +109,40 @@ def _check_inputs(p: Polynomial, basis):
             raise ValueError("basis polynomial from a different ring")
 
 
+def _keyed(p: Polynomial) -> dict:
+    key_of = p.ring.order.heap_key
+    return {key_of(t): c for c, t in p.monomials}
+
+
+def _steps(poly_ring, acc: dict, heads):
+    """Every valid step on ``acc`` (as ``_reduce`` takes it), as ``ReductionStep``s.
+
+    Terms come largest first and reducers in basis order; ``heads``
+    holds each reducer's head as ``(heap key, coefficient)``.
+    """
+    term_of = poly_ring.order.term_from_heap_key
+    ring = poly_ring.coeff_ring
+    reduce_step, is_zero = ring.reduce_step, ring.is_zero
+    for kt in sorted(acc):
+        c = acc[kt]
+        if is_zero(c):
+            continue
+        t = term_of(kt)
+        for i, (kh, head_c) in enumerate(heads):
+            if all(map(ge, kh, kt)):
+                hit = reduce_step(c, head_c)
+                if hit is not None:
+                    yield ReductionStep(i, t, term_of(tuple(map(sub, kt, kh))), *hit)
+
+
 def iter_reduction_steps(p: Polynomial, basis):
     """All valid steps, largest target monomial first, reducers in basis order."""
-    ring = p.ring.coeff_ring
-    heads = [b.head_monomial for b in basis]
-    for c, t in p.monomials:
-        for idx, (head_c, head_t) in enumerate(heads):
-            if term_divides(head_t, t):
-                hit = ring.reduce_step(c, head_c)
-                if hit is not None:
-                    yield ReductionStep(idx, t, term_div(t, head_t), hit[0], hit[1])
+    heads = [(b.keyed_monomials()[0][1], b.head_coeff) for b in basis]
+    return _steps(p.ring, _keyed(p), heads)
 
 
-def _reduce(poly_ring, acc: dict, basis, budget, collected):
-    """Yield the monomials of the default-strategy normal form, highest first.
+def _reduce(poly_ring, acc: dict, basis, strategy, budget, collected):
+    """Yield the monomials of the normal form, highest first.
 
     ``acc`` holds the polynomial to reduce as ``heap key -> coefficient``
     (zero entries allowed) and is consumed.  Each step's coefficient k
@@ -134,8 +152,12 @@ def _reduce(poly_ring, acc: dict, basis, budget, collected):
     """
     ring = poly_ring.coeff_ring
     term_of = poly_ring.order.term_from_heap_key
+    key_of = poly_ring.order.heap_key
     add, mul, neg, is_zero = ring.add, ring.mul, ring.neg, ring.is_zero
     reduce_step = ring.reduce_step
+    # Subclasses may override ``select``, so only the class itself runs the default rule.
+    default = strategy is None or type(strategy) is FirstReducibleStrategy
+    select = None if default else strategy.select
     keyed = [b.keyed_monomials() for b in basis]
     heads = [(kb[0][1], kb[0][0]) for kb in keyed]
     # A coefficient that cancels stays in ``acc`` as a zero entry, so
@@ -155,10 +177,22 @@ def _reduce(poly_ring, acc: dict, basis, budget, collected):
                     break
             else:
                 break
+            if select is None:
+                k, c = hit
+                ks = tuple(map(sub, kt, heads[i][0]))
+            else:
+                # The chosen step may target a lower pending term: it
+                # rewrites that term's coefficient and leaves c as it is.
+                acc[kt] = c
+                step = select(_steps(poly_ring, acc, heads))
+                if step is None:
+                    raise ValueError(f"{strategy!r} selected no step while a step was valid")
+                i, k = step.reducer, step.coefficient
+                acc[key_of(step.term)] = step.remainder
+                ks = key_of(step.cofactor_term)
+                c = acc.pop(kt)
             if budget is not None:
                 budget.spend()
-            k, c = hit
-            ks = tuple(map(sub, kt, heads[i][0]))
             minus_k = neg(k)
             for cb, kb in islice(keyed[i], 1, None):
                 ku = tuple(map(add_int, kb, ks))
@@ -182,53 +216,15 @@ def _reduce(poly_ring, acc: dict, basis, budget, collected):
             yield c, term_of(kt)
 
 
-def _keyed(p: Polynomial) -> dict:
-    key_of = p.ring.order.heap_key
-    return {key_of(t): c for c, t in p.monomials}
-
-
-def _uses_kernel(strategy) -> bool:
-    # Subclasses may override ``select``, so only the class itself runs the kernel.
-    return strategy is None or type(strategy) is FirstReducibleStrategy
-
-
-def _generic_normal_form(p: Polynomial, basis, strategy, budget, collected) -> Polynomial:
-    """``strategy.select`` picks every step; ``collected`` as in ``_reduce``."""
-    add = p.ring.coeff_ring.add
-    key_of = p.ring.order.heap_key
-    q = p
-    while True:
-        step = strategy.select(iter_reduction_steps(q, basis))
-        if step is None:
-            return q
-        if budget is not None:
-            budget.spend()
-        q = q - basis[step.reducer].mul_monomial(step.coefficient, step.cofactor_term)
-        if collected is not None:
-            cofactor = collected.setdefault(step.reducer, {})
-            ks = key_of(step.cofactor_term)
-            old = cofactor.get(ks)
-            k = step.coefficient
-            cofactor[ks] = k if old is None else add(old, k)
-
-
 def _normal_form_keyed(poly_ring, acc: dict, basis, strategy, budget, collected) -> Polynomial:
-    """Normal form of the polynomial held in ``acc``, a dict as ``_reduce`` takes.
-
-    Completion's entry point: the basis is not checked, and the pair
-    polynomial becomes a ``Polynomial`` only on the generic loop.
-    """
-    if _uses_kernel(strategy):
-        return Polynomial(poly_ring, tuple(_reduce(poly_ring, acc, basis, budget, collected)))
-    return _generic_normal_form(poly_ring._from_keyed(acc), basis, strategy, budget, collected)
+    """Normal form of ``acc``, a dict as ``_reduce`` takes; the basis is not checked."""
+    return Polynomial(poly_ring, tuple(_reduce(poly_ring, acc, basis, strategy, budget, collected)))
 
 
 def _normal_form(p: Polynomial, basis, strategy, budget, collected) -> Polynomial:
     """The normal form of p, adding each step into ``collected`` as ``_reduce`` does."""
     _check_inputs(p, basis)
-    if _uses_kernel(strategy):
-        return Polynomial(p.ring, tuple(_reduce(p.ring, _keyed(p), basis, budget, collected)))
-    return _generic_normal_form(p, basis, strategy, budget, collected)
+    return _normal_form_keyed(p.ring, _keyed(p), basis, strategy, budget, collected)
 
 
 def normal_form(p: Polynomial, basis, strategy=None, budget=None) -> Polynomial:
@@ -254,4 +250,4 @@ def normal_form_with_cofactors(p: Polynomial, basis, strategy=None, budget=None)
 def reduces_to_zero(p: Polynomial, basis) -> bool:
     """Whether p has 0 as a normal form under the default strategy."""
     _check_inputs(p, basis)
-    return next(_reduce(p.ring, _keyed(p), basis, None, None), None) is None
+    return next(_reduce(p.ring, _keyed(p), basis, None, None, None), None) is None

@@ -196,6 +196,14 @@ def test_membership_rejects_a_trace_of_other_generators():
     assert ideal_membership(6 * zx * zy, (2 * zx, 3 * zy), trace=trace).is_member
 
 
+def test_membership_rejects_a_query_from_another_ring():
+    x = QQ_XY.gens()[0]
+    zx = ZZ_XY.gens()[0]
+    for generators in ([ZZ_XY.zero()], [zx]):
+        with pytest.raises(ValueError, match="different ring"):
+            ideal_membership(x, generators)
+
+
 def test_zz_corpus_completion_totals():
     zz = [entry.trace for entry in corpus() if entry.ring_name == "zz"]
     assert sum(t.iterations for t in zz) == 23_246

@@ -83,6 +83,17 @@ def test_syntax_error_carries_position():
     assert info.value.position == 5
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [("1" * 5000, 1), ("x + 2/" + "3" * 5000, 7), ("x^" + "9" * 5000, 3), ("y*x^" + "1" * 5000, 5)],
+    ids=["coefficient", "denominator", "exponent", "later-exponent"],
+)
+def test_integer_past_the_digit_limit_is_a_syntax_error(text, column):
+    with pytest.raises(PolynomialSyntaxError, match="5000 digits") as info:
+        parse_polynomial(text, QQ_XY)
+    assert info.value.position == column
+
+
 def random_poly(rng, ring, bound=6):
     return ring.from_monomials(
         (rng.randint(-bound, bound), (rng.randint(0, 3), rng.randint(0, 3)))

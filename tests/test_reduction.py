@@ -44,7 +44,7 @@ def first_step(p, basis):
 
 
 def apply_step(p, step, basis):
-    """p after ``step``, as the generic reduction loop applies it."""
+    """p after ``step``, as the rescan reference loop applies it."""
     return p - basis[step.reducer].mul_monomial(step.coefficient, step.cofactor_term)
 
 
@@ -187,6 +187,31 @@ def test_randomized_strategy_takes_valid_steps():
         for cof, b in zip(cofactors, basis):
             recombined = recombined + cof * b
         assert recombined == p
+
+
+class StopsAtTheHead:
+    """Takes steps at the head term only and selects None below it."""
+
+    def __init__(self):
+        self.selects = 0
+
+    def select(self, candidates):
+        self.selects += 1
+        step = next(candidates)
+        return step if step.term == (2, 0) else None
+
+
+def test_strategy_selecting_no_step_is_an_error():
+    x, _ = QQ_XY.gens()
+    strategy = StopsAtTheHead()
+    # x^2 + x reduces at x^2 by x - 1, then at x: a None there used to
+    # end reduction early with the reducible "normal form" 2*x.
+    with pytest.raises(ValueError, match="selected no step"):
+        normal_form(x**2 + x, [x - 1], strategy)
+    assert strategy.selects == 2
+    # select is not called on an irreducible polynomial.
+    assert normal_form(QQ_XY.one(), [x - 1], strategy) == QQ_XY.one()
+    assert strategy.selects == 2
 
 
 def test_default_strategy_takes_first_candidate():

@@ -1,15 +1,18 @@
-"""The in-place reduction kernel takes exactly the steps of the rescan loop.
+"""The one reduction loop takes exactly the steps of the rescan loop.
 
-The default strategy runs ``reduction._reduce``, which pops the highest
-pending term and rewrites the polynomial in place.  A subclass of
-``FirstReducibleStrategy`` keeps the same selection rule but is routed
-through the generic ``strategy.select(iter_reduction_steps(...))`` loop,
-which rebuilds the polynomial and rescans it from the head after every
-step.  Every check below runs both paths and requires identical results
-and identical step counts.
+``reduction._reduce`` pops the highest pending term and rewrites the
+polynomial in place, under every strategy.  The default strategy takes
+the first valid step of the popped term itself; any other strategy,
+a subclass of ``FirstReducibleStrategy`` included, chooses among all
+valid steps of the pending terms.  ``rescan_reduction`` is the
+reference: it rebuilds the polynomial and rescans it from the head
+after every step.  Every check below runs the library and the
+reference under the same strategies and requires identical results and
+identical step counts.
 """
 
 import random
+from functools import partial
 
 import pytest
 
@@ -17,6 +20,7 @@ from ringgb import Integers, PolyRing, PrimeField, Rationals, complete
 from ringgb.pairs import combinations_for, pair_records
 from ringgb.reduction import (
     FirstReducibleStrategy,
+    SeededRandomStrategy,
     StepBudget,
     StepLimitExceeded,
     normal_form,
@@ -25,11 +29,12 @@ from ringgb.reduction import (
 )
 from ringgb.terms import TermOrder
 
+import rescan_reduction
 from corpus import corpus
 
 
 class RescanFirstReducible(FirstReducibleStrategy):
-    """The default selection rule, forced onto the generic loop."""
+    """The default selection rule, asked through ``select`` at every step."""
 
     def __init__(self):
         self.selects = 0
@@ -82,13 +87,23 @@ def random_probe(rng, R, nterms, degree):
     return R.from_monomials(monomials)
 
 
-def assert_same_reduction(p, basis):
+def strategies(seed=None):
+    """Makers of fresh strategies: the default path, the default rule asked
+    through ``select``, and, given a seed, a seeded random choice."""
+    makers = (lambda: None, RescanFirstReducible)
+    return makers if seed is None else makers + (partial(SeededRandomStrategy, seed),)
+
+
+def assert_same_reduction(p, basis, seed=None):
     rescan = RescanFirstReducible()
-    kernel_budget, rescan_budget = StepBudget(), StepBudget()
+    reference = RescanFirstReducible()
+    kernel_budget, rescan_budget, reference_budget = StepBudget(), StepBudget(), StepBudget()
     remainder = normal_form(p, basis, budget=kernel_budget)
     assert remainder == normal_form(p, basis, rescan, budget=rescan_budget)
-    assert kernel_budget.used == rescan_budget.used
-    assert rescan.selects == rescan_budget.used + 1  # the generic loop ran
+    assert remainder == rescan_reduction.normal_form(p, basis, reference, reference_budget)
+    assert kernel_budget.used == rescan_budget.used == reference_budget.used
+    assert rescan.selects == rescan_budget.used  # the strategy chose every step
+    assert reference.selects == reference_budget.used + 1  # the reference loop ran
 
     kernel_budget, rescan_budget = StepBudget(), StepBudget()
     kernel = normal_form_with_cofactors(p, basis, budget=kernel_budget)
@@ -96,6 +111,12 @@ def assert_same_reduction(p, basis):
     assert kernel[0] == generic[0] == remainder
     assert kernel[1] == generic[1]
     assert kernel_budget.used == rescan_budget.used
+    for make in strategies(seed):
+        budget, reference_budget = StepBudget(), StepBudget()
+        assert normal_form_with_cofactors(p, basis, make(), budget) == (
+            rescan_reduction.normal_form_with_cofactors(p, basis, make(), reference_budget)
+        )
+        assert budget.used == reference_budget.used
     assert reduces_to_zero(p, basis) == (not remainder)
     return kernel_budget.used
 
@@ -103,12 +124,14 @@ def assert_same_reduction(p, basis):
 def test_kernel_matches_rescan_on_corpus_bases():
     rng = random.Random(2718)
     steps = 0
-    for entry in corpus():
+    for index, entry in enumerate(corpus()):
         if not entry.trace.basis:
             continue
-        for _ in range(4):
+        for k in range(4):
             probe = random_probe(rng, entry.poly_ring, rng.randint(1, 12), 5)
-            steps += assert_same_reduction(probe, entry.trace.basis)
+            # The rescan reference is slow under a seeded strategy: one probe in eight.
+            seed = None if k or index % 2 else index // 2 % 10
+            steps += assert_same_reduction(probe, entry.trace.basis, seed)
     assert steps > 1000
 
 
@@ -159,9 +182,8 @@ def test_completion_matches_rescan(name, make_ring, family):
 
 def test_completion_matches_rescan_on_zz_corpus_sample():
     # ``complete`` builds pair polynomials as heap-key accumulators and
-    # reduces them from there; the generic loop gets a ``Polynomial``
-    # built from the same accumulator.  Some of these accumulators cancel
-    # to nothing and are skipped before any reduction.
+    # reduces them from there, under either strategy.  Some of these
+    # accumulators cancel to nothing and are skipped before any reduction.
     cancelled = 0
     for entry in [e for e in corpus() if e.ring_name == "zz"][::4]:
         kernel = complete(entry.generators)
@@ -200,3 +222,28 @@ def test_step_limit_fires_at_the_same_step():
         budget = StepBudget(total)
         normal_form(probe, basis, strategy, budget)
         assert budget.used == total
+
+
+# Seeded strategies can take far more steps than the default rule, so
+# they run on the smaller ideals only.
+@pytest.mark.parametrize("name, make_ring, family", IDEALS[2:4], ids=[i[0] for i in IDEALS[2:4]])
+def test_step_limit_fires_at_the_same_step_as_the_reference(name, make_ring, family):
+    R = make_ring()
+    basis = _completed(R, family)
+    probe = random_probe(random.Random(5), R, 12, 5)
+    runs = (normal_form_with_cofactors, rescan_reduction.normal_form_with_cofactors)
+    for make in strategies(1) + strategies(2)[2:]:
+        budget = StepBudget()
+        normal_form(probe, basis, make(), budget)
+        total = budget.used
+        assert total > 10
+        for limit in range(total):
+            for run in runs:
+                budget = StepBudget(limit)
+                with pytest.raises(StepLimitExceeded):
+                    run(probe, basis, make(), budget)
+                assert budget.used == limit + 1
+        for run in runs:
+            budget = StepBudget(total)
+            run(probe, basis, make(), budget)
+            assert budget.used == total
