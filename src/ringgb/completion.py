@@ -34,6 +34,7 @@ from .poly import Polynomial
 from .reduction import (
     StepBudget,
     _check_inputs,
+    _Reducers,
     _normal_form_keyed,
     normal_form,
     normal_form_with_cofactors,
@@ -89,6 +90,7 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
     poly_ring = basis[0].ring
     order = poly_ring.order
     budget = StepBudget(max_steps)
+    reducers = _Reducers(basis)
     heap: list = []
 
     def enqueue_pairs(j: int):
@@ -109,7 +111,7 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
             if not q:
                 continue
             collected = {}
-            result = _normal_form_keyed(poly_ring, q, basis, strategy, budget, collected)
+            result = _normal_form_keyed(poly_ring, q, reducers, strategy, budget, collected)
             if not result:
                 continue
             cofactors = [(m, poly_ring._from_keyed(acc)) for m, acc in collected.items()]
@@ -124,6 +126,7 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
                         entry = entry - cof * certs[m][g]
                 cert_row.append(entry)
             basis.append(result)
+            reducers.append(result)
             certs.append(cert_row)
             added.append(result)
             enqueue_pairs(len(basis) - 1)
@@ -189,10 +192,11 @@ def is_groebner_basis(basis) -> bool:
         return True
     poly_ring = basis[0].ring
     _check_inputs(basis[0], basis)
+    reducers = _Reducers(basis)
     for j in range(len(basis)):
         for record in pair_records(basis, j):
             for q, _ in combinations_for(basis, record):
-                if q and _normal_form_keyed(poly_ring, q, basis, None, None, None):
+                if q and _normal_form_keyed(poly_ring, q, reducers, None, None, None):
                     return False
     return True
 

@@ -25,6 +25,17 @@ final and have no step, as a step never touches a term above its own
 and reducibility depends only on a monomial's coefficient and term.  So
 the candidates are those of a loop that rescans the polynomial after
 every step, and the default rule's first one is the default path's step.
+
+Both paths find a term's reducers in one divisor index, ``_Reducers``
+(after the divisor lookups of Bachmann & Schoenemann, "Monomial
+representations for Groebner bases computations", ISSAC 1998).  It
+remembers, per heap key, the dividing heads in basis order and how many
+heads it has tested.  ``complete`` keeps one for its whole run and
+appends each new element, so a term met again in a later pair
+polynomial tests only the heads added since; ``is_groebner_basis``
+keeps one for its pair walk, and each public call builds its own.
+Within one reduction, ``_steps`` also keeps each pending term's
+candidate steps until a step changes that term's coefficient.
 """
 
 from __future__ import annotations
@@ -114,34 +125,85 @@ def _keyed(p: Polynomial) -> dict:
     return {key_of(t): c for c, t in p.monomials}
 
 
-def _steps(poly_ring, acc: dict, heads):
+class _Reducers:
+    """The basis as the reduction loop reads it, plus a memo of each term's divisors.
+
+    ``keyed[i]`` holds basis element i's keyed monomials and ``heads[i]``
+    its head as ``(heap key, coefficient)``.  ``memo`` maps a heap key to
+    ``(n, divisors)``: the indexes, in basis order, of the heads among
+    the first n that divide it.  The basis only grows, through
+    ``append``, so an entry older than the basis is extended by testing
+    the new heads alone.
+    """
+
+    def __init__(self, basis):
+        self.keyed = []
+        self.heads = []
+        self.memo = {}
+        for b in basis:
+            self.append(b)
+
+    def append(self, b: Polynomial):
+        keyed = b.keyed_monomials()
+        self.keyed.append(keyed)
+        self.heads.append((keyed[0][1], keyed[0][0]))
+
+    def divisors(self, kt):
+        """Indexes of the heads that divide heap key ``kt``, in basis order."""
+        heads = self.heads
+        n = len(heads)
+        entry = self.memo.get(kt)
+        if entry is None:
+            found = [i for i, (kh, _) in enumerate(heads) if all(map(ge, kh, kt))]
+        else:
+            start, found = entry
+            if start == n:
+                return found
+            found = found + [i for i in range(start, n) if all(map(ge, heads[i][0], kt))]
+        self.memo[kt] = n, found
+        return found
+
+
+def _steps(poly_ring, acc: dict, reducers: _Reducers, known: dict):
     """Every valid step on ``acc`` (as ``_reduce`` takes it), as ``ReductionStep``s.
 
-    Terms come largest first and reducers in basis order; ``heads``
-    holds each reducer's head as ``(heap key, coefficient)``.
+    Terms come largest first and reducers in basis order.  ``known``
+    maps a heap key to ``(coefficient, steps)`` from earlier calls on the
+    same reduction: a step rewrites only a few coefficients, and a term
+    whose coefficient object is unchanged has the same steps.
     """
     term_of = poly_ring.order.term_from_heap_key
     ring = poly_ring.coeff_ring
     reduce_step, is_zero = ring.reduce_step, ring.is_zero
+    heads, divisors = reducers.heads, reducers.divisors
     for kt in sorted(acc):
         c = acc[kt]
+        entry = known.get(kt)
+        if entry is not None and entry[0] is c:
+            yield from entry[1]
+            continue
         if is_zero(c):
             continue
-        t = term_of(kt)
-        for i, (kh, head_c) in enumerate(heads):
-            if all(map(ge, kh, kt)):
-                hit = reduce_step(c, head_c)
-                if hit is not None:
-                    yield ReductionStep(i, t, term_of(tuple(map(sub, kt, kh))), *hit)
+        steps = []
+        for i in divisors(kt):
+            kh, head_c = heads[i]
+            hit = reduce_step(c, head_c)
+            if hit is not None:
+                steps.append(ReductionStep(i, term_of(kt), term_of(tuple(map(sub, kt, kh))), *hit))
+        known[kt] = c, steps
+        yield from steps
 
 
 def iter_reduction_steps(p: Polynomial, basis):
-    """All valid steps, largest target monomial first, reducers in basis order."""
-    heads = [(b.keyed_monomials()[0][1], b.head_coeff) for b in basis]
-    return _steps(p.ring, _keyed(p), heads)
+    """All valid steps, largest target monomial first, reducers in basis order.
+
+    Raises ``ValueError`` for a zero basis entry or one from another ring.
+    """
+    _check_inputs(p, basis)
+    return _steps(p.ring, _keyed(p), _Reducers(basis), {})
 
 
-def _reduce(poly_ring, acc: dict, basis, strategy, budget, collected):
+def _reduce(poly_ring, acc: dict, reducers: _Reducers, strategy, budget, collected):
     """Yield the monomials of the normal form, highest first.
 
     ``acc`` holds the polynomial to reduce as ``heap key -> coefficient``
@@ -158,8 +220,8 @@ def _reduce(poly_ring, acc: dict, basis, strategy, budget, collected):
     # Subclasses may override ``select``, so only the class itself runs the default rule.
     default = strategy is None or type(strategy) is FirstReducibleStrategy
     select = None if default else strategy.select
-    keyed = [b.keyed_monomials() for b in basis]
-    heads = [(kb[0][1], kb[0][0]) for kb in keyed]
+    known = {}  # the candidate steps of pending terms, for ``_steps``
+    keyed, heads, divisors_of = reducers.keyed, reducers.heads, reducers.divisors
     # A coefficient that cancels stays in ``acc`` as a zero entry, so
     # that its key is never pushed twice.
     heap = list(acc)
@@ -169,7 +231,7 @@ def _reduce(poly_ring, acc: dict, basis, strategy, budget, collected):
         c = acc.pop(kt)
         if is_zero(c):
             continue
-        divisors = [i for i, (kh, _) in enumerate(heads) if all(map(ge, kh, kt))]
+        divisors = divisors_of(kt)
         while divisors:
             for i in divisors:
                 hit = reduce_step(c, heads[i][1])
@@ -184,7 +246,7 @@ def _reduce(poly_ring, acc: dict, basis, strategy, budget, collected):
                 # The chosen step may target a lower pending term: it
                 # rewrites that term's coefficient and leaves c as it is.
                 acc[kt] = c
-                step = select(_steps(poly_ring, acc, heads))
+                step = select(_steps(poly_ring, acc, reducers, known))
                 if step is None:
                     raise ValueError(f"{strategy!r} selected no step while a step was valid")
                 i, k = step.reducer, step.coefficient
@@ -216,15 +278,16 @@ def _reduce(poly_ring, acc: dict, basis, strategy, budget, collected):
             yield c, term_of(kt)
 
 
-def _normal_form_keyed(poly_ring, acc: dict, basis, strategy, budget, collected) -> Polynomial:
+def _normal_form_keyed(poly_ring, acc: dict, reducers, strategy, budget, collected) -> Polynomial:
     """Normal form of ``acc``, a dict as ``_reduce`` takes; the basis is not checked."""
-    return Polynomial(poly_ring, tuple(_reduce(poly_ring, acc, basis, strategy, budget, collected)))
+    monomials = _reduce(poly_ring, acc, reducers, strategy, budget, collected)
+    return Polynomial(poly_ring, tuple(monomials))
 
 
 def _normal_form(p: Polynomial, basis, strategy, budget, collected) -> Polynomial:
     """The normal form of p, adding each step into ``collected`` as ``_reduce`` does."""
     _check_inputs(p, basis)
-    return _normal_form_keyed(p.ring, _keyed(p), basis, strategy, budget, collected)
+    return _normal_form_keyed(p.ring, _keyed(p), _Reducers(basis), strategy, budget, collected)
 
 
 def normal_form(p: Polynomial, basis, strategy=None, budget=None) -> Polynomial:
@@ -250,4 +313,4 @@ def normal_form_with_cofactors(p: Polynomial, basis, strategy=None, budget=None)
 def reduces_to_zero(p: Polynomial, basis) -> bool:
     """Whether p has 0 as a normal form under the default strategy."""
     _check_inputs(p, basis)
-    return next(_reduce(p.ring, _keyed(p), basis, None, None, None), None) is None
+    return next(_reduce(p.ring, _keyed(p), _Reducers(basis), None, None, None), None) is None

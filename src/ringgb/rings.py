@@ -203,7 +203,11 @@ class CoefficientRing:
 
 
 class _FieldMixin:
-    """Shared behaviour of GF(p) and QQ: division is always exact."""
+    """Shared behaviour of GF(p) and QQ: division is always exact.
+
+    Each field class sets ``_ZERO``, its zero as ``element(0)`` gives it,
+    which every division step returns as its remainder.
+    """
 
     def exact_div(self, a, b):
         if self.is_zero(b):
@@ -215,7 +219,7 @@ class _FieldMixin:
             raise RingError("reduction by zero")
         if self.is_zero(c):
             return None
-        return self._div(c, b), self.zero()
+        return self._div(c, b), self._ZERO
 
     def groebner(self, values):
         vals = self._check_nonzero_list(values)
@@ -234,6 +238,8 @@ class _FieldMixin:
 
 class PrimeField(_FieldMixin, CoefficientRing):
     """GF(p): residues 0..p-1 under arithmetic modulo a prime p."""
+
+    _ZERO = 0
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not _is_prime(p):
@@ -273,6 +279,7 @@ class Rationals(_FieldMixin, CoefficientRing):
     """QQ: exact fractions in lowest terms with positive denominator."""
 
     name = "qq"
+    _ZERO = Fraction(0)
 
     def element(self, value):
         if isinstance(value, (int, Fraction)):

@@ -171,6 +171,15 @@ def test_rejects_zero_or_foreign_basis_entries():
         normal_form(x, [ZZ_XY.gens()[0]])
 
 
+def test_iter_reduction_steps_rejects_zero_or_foreign_basis_entries():
+    # Checked at the call, as normal_form checks them, not at the first step.
+    x = QQ_X.gens()[0]
+    with pytest.raises(ValueError, match="nonzero"):
+        iter_reduction_steps(x, [QQ_X.zero()])
+    with pytest.raises(ValueError, match="different ring"):
+        iter_reduction_steps(ZZ_XY.gens()[0], [QQ_XY.gens()[0]])
+
+
 def test_randomized_strategy_takes_valid_steps():
     rng = random.Random(34)
     for seed in range(20):

@@ -23,6 +23,7 @@ from ringgb.reduction import (
     SeededRandomStrategy,
     StepBudget,
     StepLimitExceeded,
+    _Reducers,
     normal_form,
     normal_form_with_cofactors,
     reduces_to_zero,
@@ -133,6 +134,24 @@ def test_kernel_matches_rescan_on_corpus_bases():
             seed = None if k or index % 2 else index // 2 % 10
             steps += assert_same_reduction(probe, entry.trace.basis, seed)
     assert steps > 1000
+
+
+def test_divisor_memo_is_extended_by_the_appended_heads_only():
+    R = PolyRing(Rationals(), ["x", "y"], "deglex")
+    x, y = R.gens()
+    key = R.order.heap_key
+    reducers = _Reducers([x**2 * y, y**2 - x])
+    kt = key((2, 2))
+    assert reducers.divisors(kt) == [0, 1]
+    assert reducers.memo[kt] == (2, [0, 1])
+    # The first new head does not divide x^2*y^2; the second does and
+    # sorts below both older heads.
+    reducers.append(x * y**3 + 1)
+    reducers.append(x + y)
+    assert reducers.divisors(kt) == [0, 1, 3]
+    assert reducers.memo[kt] == (4, [0, 1, 3])
+    assert reducers.divisors(key((1, 0))) == [3]
+    assert reducers.divisors(key((0, 0))) == []
 
 
 def _completed(R, family):
