@@ -19,8 +19,9 @@ only a nonzero remainder needs.  Pair polynomials come from
 ``combinations_for`` as the reduction loop's ``heap key ->
 coefficient`` accumulators and are reduced from there, under every
 strategy.  The loop records each used reducer's cofactor as a keyed
-dict; cofactor polynomials, and the certificate they feed, are built
-only when the remainder is nonzero.  The basis is consistent by
+dict; for a nonzero remainder, each new certificate entry is one
+``PolyRing._combine`` sum over those dicts, sorted once (``_expand``,
+which sums membership certificates too).  The basis is consistent by
 construction, so it is not re-checked for each normal form.
 """
 
@@ -89,6 +90,7 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
 
     poly_ring = basis[0].ring
     order = poly_ring.order
+    neg = poly_ring.coeff_ring.neg
     budget = StepBudget(max_steps)
     reducers = _Reducers(basis)
     heap: list = []
@@ -114,20 +116,13 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
             result = _normal_form_keyed(poly_ring, q, reducers, strategy, budget, collected)
             if not result:
                 continue
-            cofactors = [(m, poly_ring._from_keyed(acc)) for m, acc in collected.items()]
-            cert_row = []
-            for g in range(len(gens)):
-                entry = (
-                    certs[record.i][g].mul_monomial(a1, s1)
-                    + certs[record.j][g].mul_monomial(a2, s2)
-                )
-                for m, cof in cofactors:
-                    if cof:
-                        entry = entry - cof * certs[m][g]
-                cert_row.append(entry)
+            # The new element is a1*s1*basis[i] + a2*s2*basis[j] minus k*s*basis[m]
+            # for each term s, with coefficient k, of each reducer m's cofactor.
+            parts = [(record.i, a1, order.heap_key(s1)), (record.j, a2, order.heap_key(s2))]
+            parts += [(m, neg(k), ks) for m, cofactor in collected.items() for ks, k in cofactor.items()]
+            certs.append(_expand(poly_ring, certs, parts, len(gens)))
             basis.append(result)
             reducers.append(result)
-            certs.append(cert_row)
             added.append(result)
             enqueue_pairs(len(basis) - 1)
 
@@ -139,6 +134,14 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
         iterations=iterations,
         pairs_processed=pairs_processed,
         reduction_steps=budget.used,
+    )
+
+
+def _expand(poly_ring, certs, parts, count) -> tuple:
+    """Entries g < count of sum(c*s*certs[m]) over ``(m, c, heap key of s)`` parts."""
+    return tuple(
+        poly_ring._from_keyed(poly_ring._combine([(certs[m][g].keyed_monomials(), c, ks) for m, c, ks in parts]))
+        for g in range(count)
     )
 
 
@@ -240,14 +243,9 @@ def ideal_membership(
     remainder, cofactors = normal_form_with_cofactors(p, trace.basis, strategy)
     if remainder:
         return MembershipResult(False, None, remainder)
-    certificate = []
-    for g in range(len(trace.generators)):
-        entry = p.ring.zero()
-        for m, cof in enumerate(cofactors):
-            if cof:
-                entry = entry + cof * trace.certificates[m][g]
-        certificate.append(entry)
-    return MembershipResult(True, tuple(certificate), remainder)
+    parts = [(m, c, k) for m, cofactor in enumerate(cofactors) for c, k in cofactor.keyed_monomials()]
+    certificate = _expand(p.ring, trace.certificates, parts, len(trace.generators))
+    return MembershipResult(True, certificate, remainder)
 
 
 def groebner_basis(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> list:

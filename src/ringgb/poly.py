@@ -5,15 +5,21 @@ variable list, term order) and builds ``Polynomial`` values that are
 canonical by construction: monomials strictly descending in the active
 order, no zero coefficients, coefficients in ring-canonical form.  The
 zero polynomial has no monomials.
+
+Every sum of monomial multiples outside the reduction loop, from
+``from_monomials`` and the operators to pair polynomials and
+certificates, is accumulated by ``PolyRing._combine`` in one ``heap key
+-> coefficient`` dict, which ``PolyRing._from_keyed`` sorts once.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add as add_int
 
 from .rings import CoefficientRing, RingError
-from .terms import TermOrder, term_mul
+from .terms import TermOrder
 
 MAX_VARIABLES = 16
 
@@ -80,18 +86,20 @@ class PolyRing:
         return self.constant(1)
 
     def constant(self, value) -> "Polynomial":
-        return self.from_monomials([(value, (0,) * self.nvars)])
+        return self.monomial(value, (0,) * self.nvars)
 
     def variable(self, name: str) -> "Polynomial":
         term = [0] * self.nvars
         term[self.var_index(name)] = 1
-        return self.from_monomials([(1, tuple(term))])
+        return self.monomial(1, term)
 
     def gens(self) -> tuple:
         return tuple(self.variable(name) for name in self.variables)
 
     def monomial(self, coeff, term) -> "Polynomial":
-        return self.from_monomials([(coeff, term)])
+        term = self._check_term(term)
+        c = self.coeff_ring.element(coeff)
+        return self._zero if self.coeff_ring.is_zero(c) else Polynomial(self, ((c, term),))
 
     def from_monomials(self, monomials) -> "Polynomial":
         """Canonical polynomial from (coefficient, term) pairs in any order.
@@ -100,18 +108,14 @@ class PolyRing:
         addition, zero coefficients dropped, and monomials sorted
         descending; the construction is idempotent.
         """
-        ring = self.coeff_ring
-        acc: dict = {}
+        ring, key, check = self.coeff_ring, self.order.heap_key, self._check_term
+        keyed = []
         for coeff, term in monomials:
-            term = self._check_term(term)
+            term = check(term)
             c = ring.element(coeff)
-            if term in acc:
-                c = ring.add(acc[term], c)
-            if ring.is_zero(c):
-                acc.pop(term, None)
-            else:
-                acc[term] = c
-        return self._from_dict(acc)
+            if not ring.is_zero(c):
+                keyed.append((c, key(term)))
+        return self._from_keyed(self._combine([(keyed, None, None)]))
 
     def parse(self, text: str) -> "Polynomial":
         from .parser import parse_polynomial
@@ -128,23 +132,42 @@ class PolyRing:
             raise ValueError(f"term {term} must have non-negative integer exponents")
         return term
 
-    def _from_dict(self, mapping: dict) -> "Polynomial":
-        # Trusted path: coefficients canonical and nonzero, terms valid.
-        if not mapping:
-            return self._zero
-        key = self.order.sort_key
-        monos = sorted(((c, t) for t, c in mapping.items()), key=lambda m: key(m[1]))
-        monos.reverse()
-        return Polynomial(self, tuple(monos))
+    def _combine(self, parts) -> dict:
+        """The sum of c*s*m over ``(m, c, ks)`` parts, as ``heap key -> coefficient``.
+
+        After Yan's geobucket accumulator (JSC 25, 1998).  ``m`` is a
+        ``keyed_monomials`` tuple, ``ks`` the heap key of the term s, and
+        ``c`` None adds m as it is.  No entry is zero: the shipped rings
+        have no zero divisors, so only an addition can cancel.
+        """
+        ring = self.coeff_ring
+        add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+        acc: dict = {}
+        get = acc.get
+        for monos, c, ks in parts:
+            if c is not None:
+                if is_zero(c):
+                    continue
+                monos = [(mul(cm, c), tuple(map(add_int, km, ks))) for cm, km in monos]
+            for cm, km in monos:
+                old = get(km)
+                if old is None:
+                    acc[km] = cm
+                else:
+                    x = add(old, cm)
+                    if is_zero(x):
+                        del acc[km]
+                    else:
+                        acc[km] = x
+        return acc
 
     def _from_keyed(self, mapping: dict) -> "Polynomial":
-        # Trusted path from a ``heap key -> coefficient`` map, zeros allowed.
-        is_zero = self.coeff_ring.is_zero
-        term_of = self.order.term_from_heap_key
-        monos = tuple(
-            (mapping[k], term_of(k)) for k in sorted(mapping) if not is_zero(mapping[k])
-        )
-        return Polynomial(self, monos) if monos else self._zero
+        # The one construction from a sum: a trusted ``heap key ->
+        # coefficient`` map with no zero entries, as ``_combine`` returns.
+        if not mapping:
+            return self._zero
+        keys = sorted(mapping)
+        return Polynomial(self, keyed=tuple(zip(map(mapping.__getitem__, keys), keys)))
 
     def _coerce(self, value):
         if isinstance(value, Polynomial):
@@ -160,14 +183,37 @@ class Polynomial:
     """Immutable canonical polynomial bound to its ``PolyRing``.
 
     ``monomials`` is a tuple of (coefficient, term) pairs, strictly
-    descending by term in the ring's order.
+    descending by term in the ring's order.  Sums are built from their
+    ``keyed_monomials`` alone, so one that is only summed or reduced
+    further never maps its heap keys back to terms; deriving
+    ``monomials`` drops the keys, so only one form is kept at a time.
     """
 
-    __slots__ = ("ring", "monomials", "_keyed")
+    __slots__ = ("ring", "_monomials", "_keyed")
 
-    def __init__(self, ring: PolyRing, monomials: tuple):
+    def __init__(self, ring: PolyRing, monomials: tuple = None, keyed: tuple = None):
         self.ring = ring
-        self.monomials = monomials
+        self._monomials = monomials
+        self._keyed = keyed
+
+    @property
+    def monomials(self) -> tuple:
+        if self._monomials is None:
+            term_of = self.ring.order.term_from_heap_key
+            self._monomials = tuple((c, term_of(k)) for c, k in self._keyed)
+            self._keyed = None
+        return self._monomials
+
+    def keyed_monomials(self) -> tuple:
+        """``monomials`` with each term replaced by its order's heap key.
+
+        ``PolyRing._combine`` accumulates every sum in this form and the
+        reduction loop reads it, so it is kept once derived.
+        """
+        if self._keyed is None:
+            key = self.ring.order.heap_key
+            self._keyed = tuple((c, key(t)) for c, t in self._monomials)
+        return self._keyed
 
     # -- head decomposition --------------------------------------------------
 
@@ -183,48 +229,23 @@ class Polynomial:
     def head_term(self) -> tuple:
         return self.monomials[0][1]
 
-    def keyed_monomials(self) -> tuple:
-        """``monomials`` with each term replaced by its order's heap key.
-
-        Computed on first use and kept: a basis element serves as a
-        reducer in many normal-form calls.
-        """
-        try:
-            return self._keyed
-        except AttributeError:
-            key = self.ring.order.heap_key
-            self._keyed = tuple((c, key(t)) for c, t in self.monomials)
-            return self._keyed
-
     # -- arithmetic -----------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.monomials)
+        return bool(self._monomials or self._keyed)
 
     def __add__(self, other):
         other = self.ring._coerce(other)
         if other is None:
             return NotImplemented
-        ring = self.ring.coeff_ring
-        acc = {t: c for c, t in self.monomials}
-        for c, t in other.monomials:
-            if t in acc:
-                s = ring.add(acc[t], c)
-                if ring.is_zero(s):
-                    del acc[t]
-                else:
-                    acc[t] = s
-            else:
-                acc[t] = c
-        return self.ring._from_dict(acc)
+        parts = [(self.keyed_monomials(), None, None), (other.keyed_monomials(), None, None)]
+        return self.ring._from_keyed(self.ring._combine(parts))
 
     __radd__ = __add__
 
     def __neg__(self):
-        ring = self.ring.coeff_ring
-        return Polynomial(
-            self.ring, tuple((ring.neg(c), t) for c, t in self.monomials)
-        )
+        neg = self.ring.coeff_ring.neg
+        return Polynomial(self.ring, keyed=tuple((neg(c), k) for c, k in self.keyed_monomials()))
 
     def __sub__(self, other):
         other = self.ring._coerce(other)
@@ -242,19 +263,8 @@ class Polynomial:
         other = self.ring._coerce(other)
         if other is None:
             return NotImplemented
-        ring = self.ring.coeff_ring
-        acc: dict = {}
-        for c1, t1 in self.monomials:
-            for c2, t2 in other.monomials:
-                t = term_mul(t1, t2)
-                c = ring.mul(c1, c2)
-                if t in acc:
-                    c = ring.add(acc[t], c)
-                if ring.is_zero(c):
-                    acc.pop(t, None)
-                else:
-                    acc[t] = c
-        return self.ring._from_dict(acc)
+        parts = [(self.keyed_monomials(), c, k) for c, k in other.keyed_monomials()]
+        return self.ring._from_keyed(self.ring._combine(parts))
 
     __rmul__ = __mul__
 
@@ -268,17 +278,10 @@ class Polynomial:
 
     def mul_monomial(self, coeff, term) -> "Polynomial":
         """Product with the single monomial coeff*term."""
-        ring = self.ring.coeff_ring
-        coeff = ring.element(coeff)
-        term = self.ring._check_term(term)
-        if ring.is_zero(coeff):
-            return self.ring.zero()
-        acc = {}
-        for c, t in self.monomials:
-            prod = ring.mul(c, coeff)
-            if not ring.is_zero(prod):
-                acc[term_mul(t, term)] = prod
-        return self.ring._from_dict(acc)
+        ring = self.ring
+        coeff = ring.coeff_ring.element(coeff)
+        ks = ring.order.heap_key(ring._check_term(term))
+        return ring._from_keyed(ring._combine([(self.keyed_monomials(), coeff, ks)]))
 
     def scale(self, coeff) -> "Polynomial":
         return self.mul_monomial(coeff, (0,) * self.ring.nvars)
@@ -293,10 +296,10 @@ class Polynomial:
                 return False  # a value outside the ring equals no polynomial
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.monomials == other.monomials
+        return self.ring == other.ring and self.keyed_monomials() == other.keyed_monomials()
 
     def __hash__(self):
-        return hash((self.ring, self.monomials))
+        return hash((self.ring, self.keyed_monomials()))
 
     def __str__(self):
         return format_polynomial(self)

@@ -120,11 +120,6 @@ def _check_inputs(p: Polynomial, basis):
             raise ValueError("basis polynomial from a different ring")
 
 
-def _keyed(p: Polynomial) -> dict:
-    key_of = p.ring.order.heap_key
-    return {key_of(t): c for c, t in p.monomials}
-
-
 class _Reducers:
     """The basis as the reduction loop reads it, plus a memo of each term's divisors.
 
@@ -200,7 +195,7 @@ def iter_reduction_steps(p: Polynomial, basis):
     Raises ``ValueError`` for a zero basis entry or one from another ring.
     """
     _check_inputs(p, basis)
-    return _steps(p.ring, _keyed(p), _Reducers(basis), {})
+    return _steps(p.ring, {k: c for c, k in p.keyed_monomials()}, _Reducers(basis), {})
 
 
 def _reduce(poly_ring, acc: dict, reducers: _Reducers, strategy, budget, collected):
@@ -287,7 +282,8 @@ def _normal_form_keyed(poly_ring, acc: dict, reducers, strategy, budget, collect
 def _normal_form(p: Polynomial, basis, strategy, budget, collected) -> Polynomial:
     """The normal form of p, adding each step into ``collected`` as ``_reduce`` does."""
     _check_inputs(p, basis)
-    return _normal_form_keyed(p.ring, _keyed(p), _Reducers(basis), strategy, budget, collected)
+    acc = {k: c for c, k in p.keyed_monomials()}
+    return _normal_form_keyed(p.ring, acc, _Reducers(basis), strategy, budget, collected)
 
 
 def normal_form(p: Polynomial, basis, strategy=None, budget=None) -> Polynomial:
@@ -303,14 +299,16 @@ def normal_form_with_cofactors(p: Polynomial, basis, strategy=None, budget=None)
     """
     collected = {}
     q = _normal_form(p, basis, strategy, budget, collected)
-    ring = p.ring
-    zero = ring.zero()
+    is_zero = p.ring.coeff_ring.is_zero
+    # A cofactor keeps the terms whose coefficients cancelled, as zero entries.
     return q, [
-        ring._from_keyed(collected[i]) if i in collected else zero for i in range(len(basis))
+        p.ring._from_keyed({ks: k for ks, k in collected.get(i, {}).items() if not is_zero(k)})
+        for i in range(len(basis))
     ]
 
 
 def reduces_to_zero(p: Polynomial, basis) -> bool:
     """Whether p has 0 as a normal form under the default strategy."""
     _check_inputs(p, basis)
-    return next(_reduce(p.ring, _keyed(p), _Reducers(basis), None, None, None), None) is None
+    acc = {k: c for c, k in p.keyed_monomials()}
+    return next(_reduce(p.ring, acc, _Reducers(basis), None, None, None), None) is None

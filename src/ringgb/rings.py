@@ -285,7 +285,10 @@ class Rationals(_FieldMixin, CoefficientRing):
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         if isinstance(value, str):
-            return Fraction(value)
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):  # a bad literal, or "1/0"
+                raise RingError(f"cannot interpret {value!r} in qq") from None
         raise RingError(f"cannot interpret {value!r} in qq")
 
     def from_fraction(self, numerator, denominator):

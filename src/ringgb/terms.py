@@ -66,11 +66,10 @@ class TermOrder:
         these keys alone and maps them back with ``term_from_heap_key``.
         """
         if self.precedence is not None:
-            term = tuple(term[i] for i in self.precedence)
-        key = tuple(map(neg, term))
+            term = tuple(map(term.__getitem__, self.precedence))
         if self.kind == "lex":
-            return key
-        return (-sum(term),) + key
+            return tuple(map(neg, term))
+        return (-sum(term), *map(neg, term))
 
     def term_from_heap_key(self, key: tuple) -> tuple:
         """The term whose ``heap_key`` is ``key``."""

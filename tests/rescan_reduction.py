@@ -52,7 +52,10 @@ def normal_form_with_cofactors(p, basis, strategy=None, budget=None):
     collected = {}
     q = _generic_normal_form(p, basis, strategy or FirstReducibleStrategy(), budget, collected)
     ring = p.ring
-    return q, [
-        ring._from_keyed(collected[i]) if i in collected else ring.zero()
-        for i in range(len(basis))
-    ]
+    is_zero = ring.coeff_ring.is_zero
+    cofactors = []
+    for i in range(len(basis)):
+        # Cofactor terms whose coefficients cancelled are dropped here.
+        cofactor = {ks: k for ks, k in collected.get(i, {}).items() if not is_zero(k)}
+        cofactors.append(ring._from_keyed(cofactor))
+    return q, cofactors

@@ -12,12 +12,25 @@ from ringgb.completion import (
 from ringgb.poly import PolyRing
 from ringgb.reduction import SeededRandomStrategy, StepLimitExceeded, reduces_to_zero
 from ringgb.rings import Integers, PrimeField, Rationals
+from ringgb.terms import TermOrder
 
+import naive_poly as naive
 from corpus import corpus
 
 QQ_XY = PolyRing(Rationals(), ["x", "y"])
 ZZ_XY = PolyRing(Integers(), ["x", "y"])
 GF5_XY = PolyRing(PrimeField(5), ["x", "y"])
+YX = TermOrder("deglex", precedence=(1, 0))
+# Certificates are sums of heap-keyed multiples, whose key layout depends on the order.
+CERTIFICATE_RINGS = (
+    QQ_XY,
+    ZZ_XY,
+    GF5_XY,
+    PolyRing(Rationals(), ["x", "y"], "deglex"),
+    PolyRing(Integers(), ["x", "y"], "deglex"),
+    PolyRing(PrimeField(5), ["x", "y"], YX),
+    PolyRing(Integers(), ["x", "y"], YX),
+)
 
 
 def random_poly(rng, ring, max_exp=2, bound=3):
@@ -35,10 +48,9 @@ def random_generators(rng, ring):
 
 
 def expand_certificate(trace, index):
-    acc = trace.basis[index].ring.zero()
-    for cofactor, gen in zip(trace.certificates[index], trace.generators):
-        acc = acc + cofactor * gen
-    return acc
+    """sum(certificate[g] * generator[g]) by the naive reference, as a dict."""
+    ring = trace.basis[index].ring.coeff_ring
+    return naive.combination(ring, trace.certificates[index], trace.generators)
 
 
 def test_complete_field_textbook_ideal():
@@ -82,11 +94,11 @@ def test_complete_rejects_mixed_rings():
 
 def test_completion_certificates_expand_exactly():
     rng = random.Random(51)
-    for ring in (QQ_XY, ZZ_XY, GF5_XY):
+    for ring in CERTIFICATE_RINGS:
         for _ in range(10):
             trace = complete(random_generators(rng, ring))
             for index in range(len(trace.basis)):
-                assert expand_certificate(trace, index) == trace.basis[index]
+                assert expand_certificate(trace, index) == naive.as_dict(trace.basis[index])
 
 
 def test_generators_reduce_to_zero_by_final_basis():
@@ -168,20 +180,17 @@ def test_membership_examples():
 
 def test_membership_certificates_expand_to_the_query():
     rng = random.Random(55)
-    for ring in (QQ_XY, ZZ_XY, GF5_XY):
+    for ring in CERTIFICATE_RINGS:
+        cr = ring.coeff_ring
         for _ in range(10):
             gens = random_generators(rng, ring)
             trace = complete(gens)
             # build a guaranteed member out of random cofactors
-            member = ring.zero()
-            for g in gens:
-                member = member + random_poly(rng, ring) * g
+            expected = naive.combination(cr, [random_poly(rng, ring) for _ in gens], gens)
+            member = ring.from_monomials((c, t) for t, c in expected.items())
             result = ideal_membership(member, gens, trace=trace)
             assert result.is_member
-            acc = ring.zero()
-            for cofactor, g in zip(result.certificate, gens):
-                acc = acc + cofactor * g
-            assert acc == member
+            assert naive.combination(cr, result.certificate, gens) == expected
 
 
 def test_membership_rejects_a_trace_of_other_generators():

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ringgb.poly import PolyRing, format_polynomial
+import naive_poly as naive
+from ringgb.poly import Polynomial, PolyRing, format_polynomial
 from ringgb.rings import Integers, PrimeField, Rationals
 from ringgb.terms import TermOrder
 
@@ -12,13 +13,41 @@ QQ_XY = PolyRing(Rationals(), ["x", "y"])
 ZZ_XY = PolyRing(Integers(), ["x", "y"])
 GF5_XY = PolyRing(PrimeField(5), ["x", "y"])
 
+XYZ = ["x", "y", "z"]
+# Heap keys are laid out by the order: negated exponents for lex, the
+# negated degree in front for deglex, permuted by a precedence.
+RINGS = (
+    QQ_XY,
+    ZZ_XY,
+    GF5_XY,
+    PolyRing(Rationals(), XYZ),
+    PolyRing(Integers(), XYZ, "deglex"),
+    PolyRing(PrimeField(5), XYZ, "deglex"),
+    PolyRing(Rationals(), XYZ, TermOrder("deglex", precedence=(2, 0, 1))),
+    PolyRing(Integers(), XYZ, TermOrder("deglex", precedence=(1, 2, 0))),
+    PolyRing(PrimeField(5), XYZ, TermOrder("lex", precedence=(2, 1, 0))),
+)
+
+
+def random_term(rng, ring, max_exp=3):
+    return tuple(rng.randint(0, max_exp) for _ in range(ring.nvars))
+
 
 def random_poly(rng, ring, max_terms=6, max_exp=3, bound=5):
     monos = [
-        (rng.randint(-bound, bound), (rng.randint(0, max_exp), rng.randint(0, max_exp)))
+        (rng.randint(-bound, bound), random_term(rng, ring, max_exp))
         for _ in range(rng.randint(0, max_terms))
     ]
     return ring.from_monomials(monos)
+
+
+def assert_canonical(p):
+    ring = p.ring
+    terms = [t for _, t in p.monomials]
+    assert len(set(terms)) == len(terms)
+    assert all(not ring.coeff_ring.is_zero(c) for c, _ in p.monomials)
+    keys = [ring.order.sort_key(t) for t in terms]
+    assert keys == sorted(keys, reverse=True)
 
 
 def test_normalize_merges_duplicates():
@@ -39,8 +68,8 @@ def test_normalize_sorts_descending():
 
 def test_normalize_is_idempotent_under_shuffles():
     rng = random.Random(20)
-    for _ in range(200):
-        ring = rng.choice([QQ_XY, ZZ_XY, GF5_XY])
+    for _ in range(300):
+        ring = rng.choice(RINGS)
         p = random_poly(rng, ring)
         monos = list(p.monomials)
         rng.shuffle(monos)
@@ -55,14 +84,48 @@ def test_normalize_is_idempotent_under_shuffles():
 
 def test_polynomial_invariants_hold():
     rng = random.Random(21)
-    for _ in range(200):
-        ring = rng.choice([QQ_XY, ZZ_XY, GF5_XY])
-        p = random_poly(rng, ring)
-        terms = [t for _, t in p.monomials]
-        assert len(set(terms)) == len(terms)
-        assert all(not ring.coeff_ring.is_zero(c) for c, _ in p.monomials)
-        keys = [ring.order.sort_key(t) for t in terms]
-        assert keys == sorted(keys, reverse=True)
+    for _ in range(300):
+        ring = rng.choice(RINGS)
+        p, q = random_poly(rng, ring), random_poly(rng, ring)
+        for r in (p, q, p + q, p - q, p * q, p.mul_monomial(3, random_term(rng, ring)), -p):
+            assert_canonical(r)
+
+
+def test_arithmetic_matches_naive_reference():
+    rng = random.Random(23)
+    for _ in range(300):
+        ring = rng.choice(RINGS)
+        cr = ring.coeff_ring
+        p, q = random_poly(rng, ring), random_poly(rng, ring)
+        a, b = naive.as_dict(p), naive.as_dict(q)
+        c, t = cr.element(rng.randint(-5, 5)), random_term(rng, ring)
+        assert naive.as_dict(p + q) == naive.add(cr, a, b)
+        assert naive.as_dict(p - q) == naive.add(cr, a, naive.neg(cr, b))
+        assert naive.as_dict(-p) == naive.neg(cr, a)
+        assert naive.as_dict(p * q) == naive.mul(cr, a, b)
+        assert naive.as_dict(p.mul_monomial(c, t)) == naive.mul_monomial(cr, a, c, t)
+        assert naive.as_dict(p.scale(c)) == naive.mul_monomial(cr, a, c, (0,) * ring.nvars)
+        # a chain of sums, each built from the one before
+        assert naive.as_dict((p + q) * q - p) == naive.add(
+            cr, naive.mul(cr, naive.add(cr, a, b), b), naive.neg(cr, a)
+        )
+
+
+def test_built_from_terms_or_from_keys_is_the_same_polynomial():
+    rng = random.Random(24)
+    for _ in range(100):
+        ring = rng.choice(RINGS)
+        a, b = random_poly(rng, ring), random_poly(rng, ring)
+        p = a + b  # built from heap keys
+        q = Polynomial(ring, (a + b).monomials)  # built from terms
+        assert bool(p) == bool(q)
+        assert p == q and hash(p) == hash(q)
+        assert p.keyed_monomials() == q.keyed_monomials()
+        assert str(p) == str(q)
+        # reading the terms of a keyed sum leaves it usable in further sums
+        r = a * b
+        expected = naive.add(ring.coeff_ring, naive.as_dict(r), naive.as_dict(p))
+        assert naive.as_dict(r + p) == expected
 
 
 def test_addition_example():
@@ -88,8 +151,8 @@ def test_product_and_power():
 
 def test_multiplication_matches_repeated_addition():
     rng = random.Random(22)
-    for _ in range(100):
-        ring = rng.choice([QQ_XY, ZZ_XY, GF5_XY])
+    for _ in range(150):
+        ring = rng.choice(RINGS)
         p, q = random_poly(rng, ring), random_poly(rng, ring)
         assert p * q == q * p
         expanded = ring.zero()

@@ -215,6 +215,10 @@ def test_element_canonicalization():
         ZZ.element(Fraction(1, 2))
     with pytest.raises(RingError):
         GF5.element(1.5)
+    with pytest.raises(RingError):
+        QQ.element("abc")
+    with pytest.raises(RingError):
+        QQ.element("1/0")
 
 
 def test_from_fraction():
