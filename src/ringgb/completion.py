@@ -34,7 +34,7 @@ from .pairs import combinations_for, pair_records, record_sort_key
 from .poly import Polynomial
 from .reduction import (
     StepBudget,
-    _check_inputs,
+    _prepare,
     _Reducers,
     _normal_form_keyed,
     normal_form,
@@ -108,7 +108,7 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
     while heap:
         _, record = heapq.heappop(heap)
         pairs_processed += 1
-        for q, ((a1, s1), (a2, s2)) in combinations_for(basis, record):
+        for q, ((a1, k1), (a2, k2)) in combinations_for(basis, record):
             iterations += 1
             if not q:
                 continue
@@ -117,8 +117,9 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
             if not result:
                 continue
             # The new element is a1*s1*basis[i] + a2*s2*basis[j] minus k*s*basis[m]
-            # for each term s, with coefficient k, of each reducer m's cofactor.
-            parts = [(record.i, a1, order.heap_key(s1)), (record.j, a2, order.heap_key(s2))]
+            # for each term s, with coefficient k, of each reducer m's cofactor;
+            # k1, k2 and every ks are the heap keys of s1, s2 and s.
+            parts = [(record.i, a1, k1), (record.j, a2, k2)]
             parts += [(m, neg(k), ks) for m, cofactor in collected.items() for ks, k in cofactor.items()]
             certs.append(_expand(poly_ring, certs, parts, len(gens)))
             basis.append(result)
@@ -180,9 +181,8 @@ def interreduce(basis) -> list:
             if r != p:
                 changed = True
         polys = kept
-    ring = polys[0].ring if polys else None
-    if ring is not None:
-        polys.sort(key=lambda p: ring.order.sort_key(p.head_term), reverse=True)
+    # Ascending head keys are descending head terms.
+    polys.sort(key=lambda p: p.keyed_monomials()[0][1])
     return polys
 
 
@@ -194,8 +194,7 @@ def is_groebner_basis(basis) -> bool:
     if not basis:
         return True
     poly_ring = basis[0].ring
-    _check_inputs(basis[0], basis)
-    reducers = _Reducers(basis)
+    reducers = _prepare(basis[0], basis)[1]
     for j in range(len(basis)):
         for record in pair_records(basis, j):
             for q, _ in combinations_for(basis, record):

@@ -13,7 +13,7 @@ enough because the shipped coefficient rings are principal ideal
 domains, where pairwise critical pairs are sufficient.
 
 A pair polynomial a1*s1*p1 + a2*s2*p2 is accumulated by
-``PolyRing._combine`` from the cached ``keyed_monomials`` of the two
+``PolyRing._combine`` from the stored ``keyed_monomials`` of the two
 basis elements, and left as that ``heap key -> coefficient`` dict: it
 is the reduction kernel's input (see ``reduction``), so no
 ``Polynomial`` is built or sorted for the many pair polynomials that
@@ -23,8 +23,9 @@ reduce to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
-from .terms import term_div, term_lcm
+from .terms import term_lcm
 
 GCD = "gcd"
 SYZYGY = "syzygy"
@@ -54,27 +55,29 @@ def pair_records(basis, j: int):
 def combinations_for(basis, record: PairRecord):
     """The pair polynomials of ``record`` with their combination data.
 
-    Returns ``(q, ((a1, s1), (a2, s2)))`` pairs with
-    ``q = a1*s1*basis[i] + a2*s2*basis[j]`` given as a ``heap key ->
-    coefficient`` dict without zero coefficients, as ``PolyRing._combine``
-    returns it, so ``not q`` exactly when the combination cancels.  For ``GCD`` the rows of the head coefficients'
-    ``groebner`` basis give one q per generator g, with head monomial
-    g*lcm; for ``SYZYGY`` the rows of their ``syzygies`` give q whose
-    coefficient at the lcm is exactly zero.
+    Returns ``(q, ((a1, k1), (a2, k2)))`` pairs with
+    ``q = a1*s1*basis[i] + a2*s2*basis[j]``, where k1 and k2 are the
+    heap keys of s1 and s2: the lcm's key minus each head's, as heap
+    keys are additive.  q is a ``heap key -> coefficient`` dict without
+    zero coefficients, as ``PolyRing._combine`` returns it, so ``not q``
+    exactly when the combination cancels.  For ``GCD`` the rows of the
+    head coefficients' ``groebner`` basis give one q per generator g,
+    with head monomial g*lcm; for ``SYZYGY`` the rows of their
+    ``syzygies`` give q whose coefficient at the lcm is exactly zero.
     """
     p1, p2 = basis[record.i], basis[record.j]
-    s1 = term_div(record.lcm, p1.head_term)
-    s2 = term_div(record.lcm, p2.head_term)
     poly_ring = p1.ring
-    m1, k1 = p1.keyed_monomials(), poly_ring.order.heap_key(s1)
-    m2, k2 = p2.keyed_monomials(), poly_ring.order.heap_key(s2)
+    m1, m2 = p1.keyed_monomials(), p2.keyed_monomials()
+    kl = poly_ring.order.heap_key(record.lcm)
+    k1 = tuple(map(sub, kl, m1[0][1]))
+    k2 = tuple(map(sub, kl, m2[0][1]))
     ring = poly_ring.coeff_ring
     if record.kind == GCD:
         rows = ring.groebner([p1.head_coeff, p2.head_coeff])[1]
     else:
         rows = ring.syzygies(p1.head_coeff, p2.head_coeff)
     return [
-        (poly_ring._combine([(m1, a1, k1), (m2, a2, k2)]), ((a1, s1), (a2, s2)))
+        (poly_ring._combine([(m1, a1, k1), (m2, a2, k2)]), ((a1, k1), (a2, k2)))
         for a1, a2 in rows
     ]
 

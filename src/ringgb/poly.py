@@ -6,10 +6,13 @@ canonical by construction: monomials strictly descending in the active
 order, no zero coefficients, coefficients in ring-canonical form.  The
 zero polynomial has no monomials.
 
-Every sum of monomial multiples outside the reduction loop, from
-``from_monomials`` and the operators to pair polynomials and
-certificates, is accumulated by ``PolyRing._combine`` in one ``heap key
--> coefficient`` dict, which ``PolyRing._from_keyed`` sorts once.
+A ``Polynomial`` stores one form, its keyed monomials: (coefficient,
+heap key) pairs with the keys of ``TermOrder.heap_key`` ascending.
+Terms are derived from the keys only where they are read.  Every sum of
+monomial multiples outside the reduction loop, from ``from_monomials``
+and the operators to pair polynomials and certificates, is accumulated
+by ``PolyRing._combine`` in one ``heap key -> coefficient`` dict, which
+``PolyRing._from_keyed`` sorts once.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ class PolyRing:
         self.variables = names
         self.order = order
         self._index = {name: i for i, name in enumerate(names)}
-        self._zero = Polynomial(self, ())
+        self._zero = Polynomial(self, keyed=())
 
     @property
     def nvars(self) -> int:
@@ -99,7 +102,9 @@ class PolyRing:
     def monomial(self, coeff, term) -> "Polynomial":
         term = self._check_term(term)
         c = self.coeff_ring.element(coeff)
-        return self._zero if self.coeff_ring.is_zero(c) else Polynomial(self, ((c, term),))
+        if self.coeff_ring.is_zero(c):
+            return self._zero
+        return Polynomial(self, keyed=((c, self.order.heap_key(term)),))
 
     def from_monomials(self, monomials) -> "Polynomial":
         """Canonical polynomial from (coefficient, term) pairs in any order.
@@ -182,70 +187,66 @@ class PolyRing:
 class Polynomial:
     """Immutable canonical polynomial bound to its ``PolyRing``.
 
-    ``monomials`` is a tuple of (coefficient, term) pairs, strictly
-    descending by term in the ring's order.  Sums are built from their
-    ``keyed_monomials`` alone, so one that is only summed or reduced
-    further never maps its heap keys back to terms; deriving
-    ``monomials`` drops the keys, so only one form is kept at a time.
+    It stores only its keyed monomials (see ``keyed_monomials``), which
+    every sum, comparison and reduction reads as they are.
+    ``monomials``, ``head_monomial`` and ``head_term`` are derived from
+    the keys at each read and never stored.  The keys are passed by
+    keyword, ``Polynomial(ring, keyed=...)``, and must already be
+    canonical; public code builds values through ``PolyRing``.
     """
 
-    __slots__ = ("ring", "_monomials", "_keyed")
+    __slots__ = ("ring", "_keyed")
 
-    def __init__(self, ring: PolyRing, monomials: tuple = None, keyed: tuple = None):
+    def __init__(self, ring: PolyRing, *, keyed: tuple):
         self.ring = ring
-        self._monomials = monomials
         self._keyed = keyed
 
     @property
     def monomials(self) -> tuple:
-        if self._monomials is None:
-            term_of = self.ring.order.term_from_heap_key
-            self._monomials = tuple((c, term_of(k)) for c, k in self._keyed)
-            self._keyed = None
-        return self._monomials
+        """(coefficient, term) pairs, strictly descending by term."""
+        term_of = self.ring.order.term_from_heap_key
+        return tuple((c, term_of(k)) for c, k in self._keyed)
 
     def keyed_monomials(self) -> tuple:
-        """``monomials`` with each term replaced by its order's heap key.
+        """The stored form: ``monomials`` with each term as its order's heap key.
 
-        ``PolyRing._combine`` accumulates every sum in this form and the
-        reduction loop reads it, so it is kept once derived.
+        Keys ascend as terms descend.  ``PolyRing._combine`` accumulates
+        every sum in this form and the reduction loop reads it.
         """
-        if self._keyed is None:
-            key = self.ring.order.heap_key
-            self._keyed = tuple((c, key(t)) for c, t in self._monomials)
         return self._keyed
 
     # -- head decomposition --------------------------------------------------
 
     @property
     def head_monomial(self) -> tuple:
-        return self.monomials[0]
+        c, k = self._keyed[0]
+        return c, self.ring.order.term_from_heap_key(k)
 
     @property
     def head_coeff(self):
-        return self.monomials[0][0]
+        return self._keyed[0][0]
 
     @property
     def head_term(self) -> tuple:
-        return self.monomials[0][1]
+        return self.ring.order.term_from_heap_key(self._keyed[0][1])
 
     # -- arithmetic -----------------------------------------------------------
 
     def __bool__(self):
-        return bool(self._monomials or self._keyed)
+        return bool(self._keyed)
 
     def __add__(self, other):
         other = self.ring._coerce(other)
         if other is None:
             return NotImplemented
-        parts = [(self.keyed_monomials(), None, None), (other.keyed_monomials(), None, None)]
+        parts = [(self._keyed, None, None), (other._keyed, None, None)]
         return self.ring._from_keyed(self.ring._combine(parts))
 
     __radd__ = __add__
 
     def __neg__(self):
         neg = self.ring.coeff_ring.neg
-        return Polynomial(self.ring, keyed=tuple((neg(c), k) for c, k in self.keyed_monomials()))
+        return Polynomial(self.ring, keyed=tuple((neg(c), k) for c, k in self._keyed))
 
     def __sub__(self, other):
         other = self.ring._coerce(other)
@@ -263,7 +264,7 @@ class Polynomial:
         other = self.ring._coerce(other)
         if other is None:
             return NotImplemented
-        parts = [(self.keyed_monomials(), c, k) for c, k in other.keyed_monomials()]
+        parts = [(self._keyed, c, k) for c, k in other._keyed]
         return self.ring._from_keyed(self.ring._combine(parts))
 
     __rmul__ = __mul__
@@ -281,7 +282,7 @@ class Polynomial:
         ring = self.ring
         coeff = ring.coeff_ring.element(coeff)
         ks = ring.order.heap_key(ring._check_term(term))
-        return ring._from_keyed(ring._combine([(self.keyed_monomials(), coeff, ks)]))
+        return ring._from_keyed(ring._combine([(self._keyed, coeff, ks)]))
 
     def scale(self, coeff) -> "Polynomial":
         return self.mul_monomial(coeff, (0,) * self.ring.nvars)
@@ -296,10 +297,10 @@ class Polynomial:
                 return False  # a value outside the ring equals no polynomial
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.keyed_monomials() == other.keyed_monomials()
+        return self.ring == other.ring and self._keyed == other._keyed
 
     def __hash__(self):
-        return hash((self.ring, self.keyed_monomials()))
+        return hash((self.ring, self._keyed))
 
     def __str__(self):
         return format_polynomial(self)

@@ -111,13 +111,16 @@ class SeededRandomStrategy:
         return f"SeededRandomStrategy({self.seed})"
 
 
-def _check_inputs(p: Polynomial, basis):
+def _prepare(p: Polynomial, basis):
+    """p as ``_reduce`` takes it and the ``_Reducers`` of ``basis``, read once and checked."""
+    basis = tuple(basis)
     ring = p.ring
     for b in basis:
         if not b:
             raise ValueError("basis polynomials must be nonzero")
         if b.ring is not ring and b.ring != ring:
             raise ValueError("basis polynomial from a different ring")
+    return {k: c for c, k in p.keyed_monomials()}, _Reducers(basis)
 
 
 class _Reducers:
@@ -194,12 +197,11 @@ def iter_reduction_steps(p: Polynomial, basis):
 
     Raises ``ValueError`` for a zero basis entry or one from another ring.
     """
-    _check_inputs(p, basis)
-    return _steps(p.ring, {k: c for c, k in p.keyed_monomials()}, _Reducers(basis), {})
+    return _steps(p.ring, *_prepare(p, basis), {})
 
 
 def _reduce(poly_ring, acc: dict, reducers: _Reducers, strategy, budget, collected):
-    """Yield the monomials of the normal form, highest first.
+    """Yield the normal form as ``(coefficient, heap key)`` pairs, highest term first.
 
     ``acc`` holds the polynomial to reduce as ``heap key -> coefficient``
     (zero entries allowed) and is consumed.  Each step's coefficient k
@@ -208,7 +210,6 @@ def _reduce(poly_ring, acc: dict, reducers: _Reducers, strategy, budget, collect
     ``collected`` is None.
     """
     ring = poly_ring.coeff_ring
-    term_of = poly_ring.order.term_from_heap_key
     key_of = poly_ring.order.heap_key
     add, mul, neg, is_zero = ring.add, ring.mul, ring.neg, ring.is_zero
     reduce_step = ring.reduce_step
@@ -270,25 +271,18 @@ def _reduce(poly_ring, acc: dict, reducers: _Reducers, strategy, budget, collect
             if is_zero(c):
                 break
         if not is_zero(c):
-            yield c, term_of(kt)
+            yield c, kt
 
 
 def _normal_form_keyed(poly_ring, acc: dict, reducers, strategy, budget, collected) -> Polynomial:
     """Normal form of ``acc``, a dict as ``_reduce`` takes; the basis is not checked."""
-    monomials = _reduce(poly_ring, acc, reducers, strategy, budget, collected)
-    return Polynomial(poly_ring, tuple(monomials))
-
-
-def _normal_form(p: Polynomial, basis, strategy, budget, collected) -> Polynomial:
-    """The normal form of p, adding each step into ``collected`` as ``_reduce`` does."""
-    _check_inputs(p, basis)
-    acc = {k: c for c, k in p.keyed_monomials()}
-    return _normal_form_keyed(p.ring, acc, _Reducers(basis), strategy, budget, collected)
+    keyed = tuple(_reduce(poly_ring, acc, reducers, strategy, budget, collected))
+    return Polynomial(poly_ring, keyed=keyed)
 
 
 def normal_form(p: Polynomial, basis, strategy=None, budget=None) -> Polynomial:
     """Reduce p to a fixpoint irreducible with respect to ``basis``."""
-    return _normal_form(p, basis, strategy, budget, None)
+    return _normal_form_keyed(p.ring, *_prepare(p, basis), strategy, budget, None)
 
 
 def normal_form_with_cofactors(p: Polynomial, basis, strategy=None, budget=None):
@@ -297,18 +291,17 @@ def normal_form_with_cofactors(p: Polynomial, basis, strategy=None, budget=None)
     There is one cofactor per basis element; reducers that took no step
     get the zero polynomial.
     """
+    acc, reducers = _prepare(p, basis)
     collected = {}
-    q = _normal_form(p, basis, strategy, budget, collected)
+    q = _normal_form_keyed(p.ring, acc, reducers, strategy, budget, collected)
     is_zero = p.ring.coeff_ring.is_zero
     # A cofactor keeps the terms whose coefficients cancelled, as zero entries.
     return q, [
         p.ring._from_keyed({ks: k for ks, k in collected.get(i, {}).items() if not is_zero(k)})
-        for i in range(len(basis))
+        for i in range(len(reducers.keyed))
     ]
 
 
 def reduces_to_zero(p: Polynomial, basis) -> bool:
     """Whether p has 0 as a normal form under the default strategy."""
-    _check_inputs(p, basis)
-    acc = {k: c for c, k in p.keyed_monomials()}
-    return next(_reduce(p.ring, acc, _Reducers(basis), None, None, None), None) is None
+    return next(_reduce(p.ring, *_prepare(p, basis), None, None, None), None) is None

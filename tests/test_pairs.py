@@ -6,13 +6,23 @@ from ringgb.completion import is_groebner_basis
 from ringgb.pairs import GCD, SYZYGY, PairRecord, combinations_for, pair_records, record_sort_key
 from ringgb.poly import PolyRing
 from ringgb.rings import Integers, PrimeField, Rationals
-from ringgb.terms import term_lcm
+from ringgb.terms import TermOrder, term_lcm
 
 from field_buchberger import s_polynomial
 
 QQ_XY = PolyRing(Rationals(), ["x", "y"])
 ZZ_XY = PolyRing(Integers(), ["x", "y"])
 GF5_XY = PolyRing(PrimeField(5), ["x", "y"])
+# Heap keys of deglex carry the negated degree in front; a precedence
+# permutes the exponents.
+COMBINATION_RINGS = (
+    QQ_XY,
+    ZZ_XY,
+    GF5_XY,
+    PolyRing(Integers(), ["x", "y"], "deglex"),
+    PolyRing(PrimeField(5), ["x", "y"], TermOrder("deglex", precedence=(1, 0))),
+    PolyRing(Rationals(), ["x", "y"], TermOrder("lex", precedence=(1, 0))),
+)
 
 
 def random_nonzero(rng, ring, max_exp=2, bound=4):
@@ -89,13 +99,16 @@ def test_syzygy_polynomial_int_constants_survive():
     assert syzygy_polynomials(2 * x + 1, 3 * x + 1) == [ZZ_XY.one()]
 
 
-@pytest.mark.parametrize("ring", [QQ_XY, ZZ_XY, GF5_XY])
+@pytest.mark.parametrize("ring", COMBINATION_RINGS)
 def test_pair_polynomials_are_exact_combinations(ring):
     rng = random.Random(41)
     for _ in range(80):
         p1, p2 = random_nonzero(rng, ring), random_nonzero(rng, ring)
         for combos in (combinations(p1, p2, GCD), combinations(p1, p2, SYZYGY)):
-            for q, ((a1, s1), (a2, s2)) in combos:
+            for q, ((a1, k1), (a2, k2)) in combos:
+                s1, s2 = map(ring.order.term_from_heap_key, (k1, k2))
+                # a deglex key's degree slot is dropped by term_from_heap_key
+                assert (k1, k2) == (ring.order.heap_key(s1), ring.order.heap_key(s2))
                 lhs = ring.monomial(a1, s1) * p1 + ring.monomial(a2, s2) * p2
                 assert lhs == q
 

@@ -117,7 +117,7 @@ def test_built_from_terms_or_from_keys_is_the_same_polynomial():
         ring = rng.choice(RINGS)
         a, b = random_poly(rng, ring), random_poly(rng, ring)
         p = a + b  # built from heap keys
-        q = Polynomial(ring, (a + b).monomials)  # built from terms
+        q = ring.from_monomials((a + b).monomials)  # built from terms
         assert bool(p) == bool(q)
         assert p == q and hash(p) == hash(q)
         assert p.keyed_monomials() == q.keyed_monomials()
@@ -126,6 +126,14 @@ def test_built_from_terms_or_from_keys_is_the_same_polynomial():
         r = a * b
         expected = naive.add(ring.coeff_ring, naive.as_dict(r), naive.as_dict(p))
         assert naive.as_dict(r + p) == expected
+
+
+def test_polynomial_takes_its_keys_by_keyword_only():
+    x, y = QQ_XY.gens()
+    p = x**2 - y
+    with pytest.raises(TypeError):
+        Polynomial(QQ_XY, p.monomials)
+    assert Polynomial(QQ_XY, keyed=p.keyed_monomials()) == p
 
 
 def test_addition_example():

@@ -180,6 +180,17 @@ def test_iter_reduction_steps_rejects_zero_or_foreign_basis_entries():
         iter_reduction_steps(ZZ_XY.gens()[0], [QQ_XY.gens()[0]])
 
 
+def test_basis_may_be_a_one_shot_iterable():
+    # The entry points read the basis once, so an iterator works as a list does.
+    x = QQ_X.gens()[0]
+    assert normal_form(x, iter([x - 1])) == 1
+    assert reduces_to_zero(x - 1, iter([x - 1]))
+    q, cofactors = normal_form_with_cofactors(x, iter([x - 1]))
+    assert q == 1 and cofactors == [QQ_X.one()]
+    steps = list(iter_reduction_steps(x, iter([x - 1])))
+    assert [(s.reducer, s.term, s.cofactor_term) for s in steps] == [(0, (1,), (0,))]
+
+
 def test_randomized_strategy_takes_valid_steps():
     rng = random.Random(34)
     for seed in range(20):
