@@ -14,7 +14,9 @@ heap of their keys (``TermOrder.heap_key``).  The loop pops the largest
 pending term; each step subtracts k*s*tail(b) into the dict in place.
 Once the popped term has no valid step it is final and is emitted, so
 the remainder comes out in descending order without a sort.  Cofactors
-are collected per reducer, in a dict created at its first step.
+are collected per reducer, in a dict created at its first step.  The
+coefficients are held in the ring's ``_kernel_form`` (int pairs over
+QQ) from entry until they are emitted or collected.
 
 The default ``FirstReducibleStrategy`` (or None) takes the first reducer
 in basis order that hits the popped term.  Any other strategy only
@@ -120,21 +122,26 @@ def _prepare(p: Polynomial, basis):
             raise ValueError("basis polynomials must be nonzero")
         if b.ring is not ring and b.ring != ring:
             raise ValueError("basis polynomial from a different ring")
-    return {k: c for c, k in p.keyed_monomials()}, _Reducers(basis)
+    return {k: c for c, k in p.keyed_monomials()}, _Reducers(basis, ring.coeff_ring)
 
 
 class _Reducers:
     """The basis as the reduction loop reads it, plus a memo of each term's divisors.
 
-    ``keyed[i]`` holds basis element i's keyed monomials and ``heads[i]``
-    its head as ``(heap key, coefficient)``.  ``memo`` maps a heap key to
+    ``form`` is the ``_KernelForm`` of ``coeff_ring``, by default the
+    first element's coefficient ring.  ``keyed[i]`` holds basis element
+    i's keyed monomials in that form, and ``heads[i]`` its head as
+    ``(heap key, prepared coefficient)``.  ``memo`` maps a heap key to
     ``(n, divisors)``: the indexes, in basis order, of the heads among
     the first n that divide it.  The basis only grows, through
     ``append``, so an entry older than the basis is extended by testing
     the new heads alone.
     """
 
-    def __init__(self, basis):
+    def __init__(self, basis, coeff_ring=None):
+        if coeff_ring is None:
+            coeff_ring = basis[0].ring.coeff_ring
+        self.form = coeff_ring._kernel_form()
         self.keyed = []
         self.heads = []
         self.memo = {}
@@ -143,8 +150,19 @@ class _Reducers:
 
     def append(self, b: Polynomial):
         keyed = b.keyed_monomials()
+        enter = self.form.enter
+        if enter is not None:
+            keyed = tuple((enter(c), k) for c, k in keyed)
         self.keyed.append(keyed)
-        self.heads.append((keyed[0][1], keyed[0][0]))
+        self.heads.append((keyed[0][1], self.form.prepare(keyed[0][0])))
+
+    def entered(self, acc: dict) -> dict:
+        """``acc``, a ``heap key -> ring element`` dict, converted in place to the loop's form."""
+        enter = self.form.enter
+        if enter is not None:
+            for kt, c in acc.items():
+                acc[kt] = enter(c)
+        return acc
 
     def divisors(self, kt):
         """Indexes of the heads that divide heap key ``kt``, in basis order."""
@@ -163,16 +181,16 @@ class _Reducers:
 
 
 def _steps(poly_ring, acc: dict, reducers: _Reducers, known: dict):
-    """Every valid step on ``acc`` (as ``_reduce`` takes it), as ``ReductionStep``s.
+    """Every valid step on ``acc`` (in the loop's form), as ``ReductionStep``s.
 
-    Terms come largest first and reducers in basis order.  ``known``
-    maps a heap key to ``(coefficient, steps)`` from earlier calls on the
-    same reduction: a step rewrites only a few coefficients, and a term
-    whose coefficient object is unchanged has the same steps.
+    Terms come largest first and reducers in basis order; each step's
+    coefficient and remainder are ring elements.  ``known`` maps a heap
+    key to ``(coefficient, steps)`` from earlier calls on the same
+    reduction: a step rewrites only a few coefficients, and a term whose
+    coefficient object is unchanged has the same steps.
     """
     term_of = poly_ring.order.term_from_heap_key
-    ring = poly_ring.coeff_ring
-    reduce_step, is_zero = ring.reduce_step, ring.is_zero
+    step, is_zero, leave = reducers.form.step, reducers.form.is_zero, reducers.form.leave
     heads, divisors = reducers.heads, reducers.divisors
     for kt in sorted(acc):
         c = acc[kt]
@@ -184,9 +202,11 @@ def _steps(poly_ring, acc: dict, reducers: _Reducers, known: dict):
             continue
         steps = []
         for i in divisors(kt):
-            kh, head_c = heads[i]
-            hit = reduce_step(c, head_c)
+            kh, head = heads[i]
+            hit = step(c, head)
             if hit is not None:
+                if leave is not None:
+                    hit = map(leave, hit)
                 steps.append(ReductionStep(i, term_of(kt), term_of(tuple(map(sub, kt, kh))), *hit))
         known[kt] = c, steps
         yield from steps
@@ -197,7 +217,8 @@ def iter_reduction_steps(p: Polynomial, basis):
 
     Raises ``ValueError`` for a zero basis entry or one from another ring.
     """
-    return _steps(p.ring, *_prepare(p, basis), {})
+    acc, reducers = _prepare(p, basis)
+    return _steps(p.ring, reducers.entered(acc), reducers, {})
 
 
 def _reduce(poly_ring, acc: dict, reducers: _Reducers, strategy, budget, collected):
@@ -207,12 +228,15 @@ def _reduce(poly_ring, acc: dict, reducers: _Reducers, strategy, budget, collect
     (zero entries allowed) and is consumed.  Each step's coefficient k
     is added into ``collected[reducer]``, a dict keyed by the cofactor
     term's heap key that is created on the reducer's first step, unless
-    ``collected`` is None.
+    ``collected`` is None.  The loop computes in ``reducers.form``;
+    emitted and collected coefficients are ring elements.
     """
-    ring = poly_ring.coeff_ring
     key_of = poly_ring.order.heap_key
-    add, mul, neg, is_zero = ring.add, ring.mul, ring.neg, ring.is_zero
-    reduce_step = ring.reduce_step
+    form = reducers.form
+    add, mul, neg, is_zero, step, enter, leave = (
+        form.add, form.mul, form.neg, form.is_zero, form.step, form.enter, form.leave
+    )
+    reducers.entered(acc)
     # Subclasses may override ``select``, so only the class itself runs the default rule.
     default = strategy is None or type(strategy) is FirstReducibleStrategy
     select = None if default else strategy.select
@@ -230,7 +254,7 @@ def _reduce(poly_ring, acc: dict, reducers: _Reducers, strategy, budget, collect
         divisors = divisors_of(kt)
         while divisors:
             for i in divisors:
-                hit = reduce_step(c, heads[i][1])
+                hit = step(c, heads[i][1])
                 if hit is not None:
                     break
             else:
@@ -242,12 +266,14 @@ def _reduce(poly_ring, acc: dict, reducers: _Reducers, strategy, budget, collect
                 # The chosen step may target a lower pending term: it
                 # rewrites that term's coefficient and leaves c as it is.
                 acc[kt] = c
-                step = select(_steps(poly_ring, acc, reducers, known))
-                if step is None:
+                chosen = select(_steps(poly_ring, acc, reducers, known))
+                if chosen is None:
                     raise ValueError(f"{strategy!r} selected no step while a step was valid")
-                i, k = step.reducer, step.coefficient
-                acc[key_of(step.term)] = step.remainder
-                ks = key_of(step.cofactor_term)
+                i, k, d = chosen.reducer, chosen.coefficient, chosen.remainder
+                if enter is not None:
+                    k, d = enter(k), enter(d)
+                acc[key_of(chosen.term)] = d
+                ks = key_of(chosen.cofactor_term)
                 c = acc.pop(kt)
             if budget is not None:
                 budget.spend()
@@ -271,7 +297,11 @@ def _reduce(poly_ring, acc: dict, reducers: _Reducers, strategy, budget, collect
             if is_zero(c):
                 break
         if not is_zero(c):
-            yield c, kt
+            yield (c if leave is None else leave(c)), kt
+    if leave is not None and collected:
+        for cofactor in collected.values():
+            for ks, k in cofactor.items():
+                cofactor[ks] = leave(k)
 
 
 def _normal_form_keyed(poly_ring, acc: dict, reducers, strategy, budget, collected) -> Polynomial:

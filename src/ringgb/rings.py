@@ -13,17 +13,29 @@ Values are plain Python objects (ints for GF(p) and ZZ, ``Fraction``
 for QQ) kept in a form unique per ring value; arithmetic never rounds.
 Ring objects are stateless and hashable, safe to share across threads.
 
-``reduce_step`` runs once per candidate reducer in the reduction
-kernel's inner loop, so it takes ring elements (values as ``element``
-returns them) and does not coerce its arguments; ``groebner`` and
-``syzygies``, called once per critical pair, still coerce.
+``reduce_step`` runs once per candidate reducer, so it takes ring
+elements (values as ``element`` returns them) and does not coerce its
+arguments; ``groebner`` and ``syzygies``, called once per critical
+pair, still coerce.
+
+The reduction loop reaches a ring through one hook, ``_kernel_form``,
+which returns a ``_KernelForm``: the coefficient representation the loop
+computes in, with its arithmetic and a division step against a head
+prepared once per basis element.  The default is the ring's own values
+and methods, so a further ring needs nothing more than the contract
+above.  GF(p) prepares each head as its inverse, and QQ reduces in
+``(numerator, denominator)`` int pairs in lowest terms, which cost a
+fraction of ``Fraction`` arithmetic; every value outside the loop stays
+as ``element`` returns it.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from math import gcd
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 
 class RingError(ValueError):
@@ -82,6 +94,32 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
+class _KernelForm(NamedTuple):
+    """The coefficients of the reduction loop: a representation and its operations.
+
+    ``enter`` maps a ring element into the loop's representation and
+    ``leave`` maps it back; both are None when the loop computes on the
+    ring elements themselves.  ``add``, ``mul``, ``neg`` and ``is_zero``
+    act on the representation as the ring's methods do on elements.
+    ``prepare`` runs once per basis element on its entered head
+    coefficient b, and ``step(c, prepare(b))`` is ``reduce_step(c, b)``
+    in the representation.
+    """
+
+    enter: Callable | None
+    leave: Callable | None
+    add: Callable
+    mul: Callable
+    neg: Callable
+    is_zero: Callable
+    prepare: Callable
+    step: Callable
+
+
+def _same(value):
+    return value
+
+
 class CoefficientRing:
     """Contract shared by the shipped coefficient rings.
 
@@ -89,7 +127,9 @@ class CoefficientRing:
     inputs and return canonical outputs; ``element`` and
     ``from_fraction`` are the entry points that canonicalize foreign
     values.  ``groebner`` and ``syzygies`` accept anything ``element``
-    accepts.
+    accepts.  ``_kernel_form`` is the one hook of the reduction loop;
+    its default runs the loop on these methods, so a ring overrides it
+    only for speed.
     """
 
     name = "?"
@@ -189,6 +229,10 @@ class CoefficientRing:
     def _lcm_pair(self, a, b):
         raise NotImplementedError
 
+    def _kernel_form(self) -> _KernelForm:
+        """The reduction loop's ``_KernelForm``: by default the ring's own values and methods."""
+        return _KernelForm(None, None, self.add, self.mul, self.neg, self.is_zero, _same, self.reduce_step)
+
     def canonical_unit(self, c):
         """Unit u such that u*c is the canonical associate of nonzero c."""
         raise NotImplementedError
@@ -274,6 +318,16 @@ class PrimeField(_FieldMixin, CoefficientRing):
     def _div(self, a, b):
         return a * pow(b, -1, self.p) % self.p
 
+    def _kernel_form(self):
+        # Over a field the first dividing head always hits, so each head
+        # is prepared as its inverse and a step is one product.
+        p = self.p
+
+        def step(c, inverse):
+            return (c * inverse % p, 0) if c else None
+
+        return _KernelForm(None, None, self.add, self.mul, self.neg, self.is_zero, lambda b: pow(b, -1, p), step)
+
 
 class Rationals(_FieldMixin, CoefficientRing):
     """QQ: exact fractions in lowest terms with positive denominator."""
@@ -313,6 +367,55 @@ class Rationals(_FieldMixin, CoefficientRing):
 
     def magnitude(self, a):
         return abs(a)
+
+    def _kernel_form(self):
+        return _QQ_FORM
+
+
+# QQ in the reduction loop: (n, d) int pairs with gcd(n, d) = 1 and
+# d > 0, so zero is (0, 1).  Sums and products cancel common factors
+# as Fraction does (Knuth, TAOCP vol. 2, 4.5.1).
+
+
+def _qq_add(x, y):
+    a, b = x
+    c, d = y
+    g = gcd(b, d)
+    if g == 1:
+        return a * d + b * c, b * d
+    s = d // g
+    n = a * s + c * (b // g)
+    g = gcd(n, g)
+    return n // g, b // g * s
+
+
+def _qq_mul(x, y):
+    a, b = x
+    c, d = y
+    g = gcd(a, d)
+    h = gcd(c, b)
+    return (a // g) * (c // h), (b // h) * (d // g)
+
+
+def _qq_step(c, inverse):
+    return (_qq_mul(c, inverse), (0, 1)) if c[0] else None
+
+
+def _qq_inverse(x):
+    n, d = x
+    return (d, n) if n > 0 else (-d, -n)
+
+
+_QQ_FORM = _KernelForm(
+    enter=lambda f: (f.numerator, f.denominator),
+    leave=lambda x: Fraction(*x),
+    add=_qq_add,
+    mul=_qq_mul,
+    neg=lambda x: (-x[0], x[1]),
+    is_zero=lambda x: not x[0],
+    prepare=_qq_inverse,
+    step=_qq_step,
+)
 
 
 class Integers(CoefficientRing):

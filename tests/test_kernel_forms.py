@@ -1,0 +1,146 @@
+"""The reduction loop's coefficient forms (``CoefficientRing._kernel_form``).
+
+QQ reduces in ``(numerator, denominator)`` int pairs: every operation
+must agree exactly with ``Fraction`` and stay in lowest terms, also on
+large, negative and cancelling values.  GF(p) prepares each head as
+its inverse.  A ring written against the contract alone keeps the
+default form and completes exactly as the shipped GF(7) does.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from ringgb import CoefficientRing, PolyRing, PrimeField, Rationals, RingError, complete, groebner_basis
+
+from corpus import nonzero_poly
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+QQ = Rationals()
+FORM = QQ._kernel_form()
+
+small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+large = st.builds(Fraction, st.integers(-(2**90), 2**90), st.integers(1, 2**90))
+values = small | large
+pairs = (
+    st.tuples(values, values)
+    | values.map(lambda x: (x, -x))  # cancels to zero
+    | st.tuples(values, small).map(lambda p: (p[0], p[1] - p[0]))  # cancels to a small sum
+)
+
+
+def canonical(x):
+    """x is an int pair in lowest terms with a positive denominator."""
+    n, d = x
+    return type(n) is int and type(d) is int and d > 0 and gcd(n, d) == 1
+
+
+def agrees(x, value):
+    """The pair x is canonical and leaves as ``value``, and ``value`` enters as x."""
+    return canonical(x) and FORM.leave(x) == value and FORM.enter(value) == x
+
+
+@settings(max_examples=400, deadline=None)
+@given(pairs)
+def test_qq_pairs_agree_with_fraction(pair):
+    a, b = pair
+    x, y = FORM.enter(a), FORM.enter(b)
+    assert agrees(x, a) and agrees(y, b)
+    assert agrees(FORM.add(x, y), a + b)
+    assert agrees(FORM.mul(x, y), a * b)
+    assert agrees(FORM.neg(x), -a)
+    assert FORM.is_zero(x) == (a == 0)
+    assert FORM.is_zero(FORM.add(x, y)) == (a + b == 0)
+    if b:
+        k, d = QQ.reduce_step(a, b) or (None, None)
+        hit = FORM.step(x, FORM.prepare(y))
+        if k is None:
+            assert hit is None
+        else:
+            assert agrees(hit[0], k) and agrees(hit[1], d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values)
+def test_qq_pairs_leave_and_reenter_unchanged(a):
+    x = FORM.enter(a)
+    assert type(FORM.leave(x)) is Fraction
+    assert FORM.enter(FORM.leave(x)) == x
+    assert FORM.leave(FORM.enter(FORM.leave(x))) == a
+
+
+def test_prime_field_prepares_heads_as_inverses():
+    form = PrimeField(32003)._kernel_form()
+    assert form.enter is None and form.leave is None
+    for b in (1, 2, 16001, 32002):
+        inverse = form.prepare(b)
+        assert b * inverse % 32003 == 1
+        for c in (1, 5, 32002):
+            assert form.step(c, inverse) == PrimeField(32003).reduce_step(c, b)
+        assert form.step(0, inverse) is None
+
+
+class ContractGF7(CoefficientRing):
+    """GF(7) written against the ring contract alone; ``_kernel_form`` is not overridden."""
+
+    name = "contract-gf(7)"
+
+    def element(self, value):
+        if isinstance(value, Fraction):
+            return self.from_fraction(value.numerator, value.denominator)
+        if isinstance(value, int):
+            return value % 7
+        raise RingError(f"cannot interpret {value!r} in {self.name}")
+
+    def from_fraction(self, numerator, denominator):
+        if denominator % 7 == 0:
+            raise RingError(f"division by zero in {self.name}")
+        return numerator * pow(denominator, -1, 7) % 7
+
+    def add(self, a, b):
+        return (a + b) % 7
+
+    def mul(self, a, b):
+        return a * b % 7
+
+    def neg(self, a):
+        return -a % 7
+
+    def exact_div(self, a, b):
+        if b == 0:
+            raise RingError(f"division by zero in {self.name}")
+        return a * pow(b, -1, 7) % 7
+
+    def reduce_step(self, c, b):
+        return None if c == 0 else (self.exact_div(c, b), 0)
+
+    def groebner(self, values):
+        vals = self._check_nonzero_list(values)
+        row = [0] * len(vals)
+        row[0] = pow(vals[0], -1, 7)
+        return [1], [row]
+
+    def _lcm_pair(self, a, b):
+        return 1
+
+    def canonical_unit(self, c):
+        return pow(c, -1, 7)
+
+
+def test_a_ring_without_the_hook_completes_as_the_shipped_field():
+    assert ContractGF7._kernel_form is CoefficientRing._kernel_form
+    rng = random.Random(7)
+    for index in range(24):
+        order = "lex" if index % 2 == 0 else "deglex"
+        theirs = PolyRing(ContractGF7(), ["x", "y"], order)
+        ours = PolyRing(PrimeField(7), ["x", "y"], order)
+        gens = [nonzero_poly(rng, ours) for _ in range(rng.randint(1, 3))]
+        mirrored = [theirs.from_monomials(g.monomials) for g in gens]
+        expected, trace = groebner_basis(gens), complete(gens)
+        got, their_trace = groebner_basis(mirrored), complete(mirrored)
+        assert [p.monomials for p in got] == [p.monomials for p in expected]
+        assert (their_trace.iterations, their_trace.reduction_steps) == (trace.iterations, trace.reduction_steps)

@@ -1,8 +1,9 @@
 """Bases checked against oracles that share no completion code with them.
 
 The zz bases of the acceptance corpus are checked against the qq bases
-of the same generators, and random field ideals against sympy's
-``groebner`` when sympy is installed.
+of the same generators, and random field ideals in 3 variables and
+cyclic-4 and katsura-4 against sympy's ``groebner`` when sympy is
+installed.
 """
 
 import random
@@ -53,33 +54,63 @@ SESSIONS = [
 ]
 
 
+def sympy_basis(sympy, ring, gens):
+    """sympy's reduced basis of ``gens``, as polynomials of ``ring`` sorted like ``interreduce``."""
+    symbols = sympy.symbols(ring.variables)
+    options = {"order": "lex" if ring.order.kind == "lex" else "grlex"}
+    if isinstance(ring.coeff_ring, PrimeField):
+        options["modulus"] = ring.coeff_ring.p
+    else:
+        options["domain"] = sympy.QQ  # the default, ZZ, gives primitive, not monic, bases
+    exprs = [
+        sum(
+            sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+            * sympy.Mul(*(s**e for s, e in zip(symbols, t)))
+            for c, t in g.monomials
+        )
+        for g in gens
+    ]
+    theirs = [
+        ring.from_monomials(
+            (Fraction(int(c.p), int(c.q)), t)
+            for t, c in sympy.Poly(e, *symbols).terms()
+        )
+        for e in sympy.groebner(exprs, *symbols, **options).exprs
+    ]
+    theirs.sort(key=lambda p: ring.order.sort_key(p.head_term), reverse=True)
+    return theirs
+
+
 @pytest.mark.parametrize("coeff_ring,order", SESSIONS, ids=lambda v: str(v))
 def test_field_bases_match_sympy(coeff_ring, order):
     sympy = pytest.importorskip("sympy")
-    symbols = sympy.symbols("x y z")
-    options = {"order": "lex" if order == "lex" else "grlex"}
-    if isinstance(coeff_ring, PrimeField):
-        options["modulus"] = coeff_ring.p
-    else:
-        options["domain"] = sympy.QQ  # the default, ZZ, gives primitive, not monic, bases
     ring = PolyRing(coeff_ring, ["x", "y", "z"], order)
     rng = random.Random(f"{coeff_ring}/{order}")
     for _ in range(5):
         gens = random_ideal(rng, ring)
-        exprs = [
-            sum(
-                sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
-                * sympy.Mul(*(s**e for s, e in zip(symbols, t)))
-                for c, t in g.monomials
-            )
-            for g in gens
-        ]
-        theirs = [
-            ring.from_monomials(
-                (Fraction(int(c.p), int(c.q)), t)
-                for t, c in sympy.Poly(e, *symbols).terms()
-            )
-            for e in sympy.groebner(exprs, *symbols, **options).exprs
-        ]
-        theirs.sort(key=lambda p: ring.order.sort_key(p.head_term), reverse=True)
-        assert groebner_basis(gens) == theirs, [str(g) for g in gens]
+        assert groebner_basis(gens) == sympy_basis(sympy, ring, gens), [str(g) for g in gens]
+
+
+def cyclic4(R):
+    a, b, c, d = R.gens()
+    return [a + b + c + d, a * b + b * c + c * d + d * a, a * b * c + b * c * d + c * d * a + d * a * b, a * b * c * d - 1]
+
+
+def katsura4(R):
+    u = R.gens()
+
+    def U(i):
+        return u[abs(i)] if abs(i) < 4 else R.zero()
+
+    gens = [sum((U(i) for i in range(-3, 4)), R.zero()) - 1]
+    gens += [sum((U(i) * U(m - i) for i in range(-3, 4)), R.zero()) - U(m) for m in range(3)]
+    return gens
+
+
+@pytest.mark.parametrize("coeff_ring", [Rationals(), PrimeField(32003)], ids=str)
+@pytest.mark.parametrize("family", [cyclic4, katsura4], ids=lambda f: f.__name__)
+def test_four_variable_deglex_bases_match_sympy(family, coeff_ring):
+    sympy = pytest.importorskip("sympy")
+    ring = PolyRing(coeff_ring, ["a", "b", "c", "d"], "deglex")
+    gens = family(ring)
+    assert groebner_basis(gens) == sympy_basis(sympy, ring, gens)
