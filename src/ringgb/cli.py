@@ -63,7 +63,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def read_polynomial_file(path: str) -> list:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:  # drops a byte-order mark
             lines = handle.readlines()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None

@@ -8,7 +8,14 @@ Grammar (whitespace free between tokens, ``*`` optional):
 
 Examples: ``2*x^2*y - 3*y + 1``, ``-1/2*x + y``, ``2x^2y``.
 Coefficients must live in the session ring: ``1/2`` is an error over
-zz, ``1/0`` is an error everywhere.
+zz, ``1/0`` is an error everywhere; each literal ``n/d`` becomes a
+value through the ring's ``from_fraction``.
+
+One regular-expression pass splits the text into ``(token, column)``
+pairs, 1-based, and rejects the first character that is neither
+whitespace nor part of a token.  The list ends with the sentinel
+``(None, len(text) + 1)``, so the parser always has a token to look at
+and an error at the end of the text points one past its last column.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import re
 from .poly import PolyRing, Polynomial
 from .rings import RingError
 
-_TOKEN = re.compile(r"\d+|[A-Za-z][A-Za-z0-9_]*|[+\-*/^]")
+_TOKEN = re.compile(r"(\d+|[A-Za-z][A-Za-z0-9_]*|[+\-*/^])|(\S)")
 
 
 class PolynomialSyntaxError(ValueError):
@@ -30,36 +37,27 @@ class PolynomialSyntaxError(ValueError):
 
 
 def _tokenize(text: str):
+    """``(token, column)`` pairs with 1-based columns, ending in ``(None, len(text) + 1)``."""
     tokens = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN.match(text, i)
-        if not m:
-            raise PolynomialSyntaxError(f"unexpected character {text[i]!r}", i + 1)
-        tokens.append((m.group(), i + 1))
-        i = m.end()
+    for m in _TOKEN.finditer(text):
+        if m.lastindex == 2:
+            raise PolynomialSyntaxError(f"unexpected character {m.group()!r}", m.start() + 1)
+        tokens.append((m.group(), m.start() + 1))
+    tokens.append((None, len(text) + 1))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens, ring: PolyRing, length: int):
+    def __init__(self, tokens, ring: PolyRing):
         self.tokens = tokens
         self.ring = ring
         self.pos = 0
-        self.end_column = length + 1
 
     def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
-        return None
+        return self.tokens[self.pos][0]
 
     def column(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][1]
-        return self.end_column
+        return self.tokens[self.pos][1]
 
     def take(self):
         tok = self.tokens[self.pos]
@@ -74,7 +72,7 @@ class _Parser:
             raise PolynomialSyntaxError(f"integer of {len(text)} digits is too long", col) from None
 
     def parse(self):
-        if not self.tokens:
+        if self.peek() is None:
             raise PolynomialSyntaxError("empty polynomial", 1)
         monomials = []
         sign = 1
@@ -87,10 +85,7 @@ class _Parser:
             monomials.append((coeff, term))
             if self.peek() is None:
                 return monomials
-            op, col = self.take()
-            if op not in ("+", "-"):
-                raise PolynomialSyntaxError(f"expected '+' or '-', found {op!r}", col)
-            sign = -1 if op == "-" else 1
+            sign = -1 if self.take()[0] == "-" else 1
 
     def parse_term(self):
         ring = self.ring.coeff_ring
@@ -154,5 +149,5 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     Raises ``PolynomialSyntaxError`` (with a 1-based column) for syntax
     problems, unknown variables, and coefficients outside the ring.
     """
-    parser = _Parser(_tokenize(text), ring, len(text))
+    parser = _Parser(_tokenize(text), ring)
     return ring.from_monomials(parser.parse())

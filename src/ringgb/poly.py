@@ -313,26 +313,29 @@ def format_polynomial(p: Polynomial) -> str:
 
     Monomials descending, ``^`` for powers, ``*`` between coefficient
     and variables, single spaces around binary +/-; unit coefficients
-    are omitted in front of variables.  The same syntax parses back.
+    are omitted in front of variables.  Each coefficient prints as its
+    ring's ``format`` gives it.  The same syntax parses back.
     """
     if not p:
         return "0"
-    ring = p.ring.coeff_ring
+    format_coeff = p.ring.coeff_ring.format
     pieces = []
-    for i, (coeff, term) in enumerate(p.monomials):
-        negative = ring.is_negative(coeff)
+    for coeff, term in p.monomials:
+        text = format_coeff(coeff)
+        negative = text.startswith("-")
+        if negative:
+            text = text[1:]
         body = _format_term(p.ring, term)
-        magnitude = ring.magnitude(coeff)
         if not body:
-            chunk = ring.format(magnitude)
-        elif magnitude == ring.one():
+            chunk = text
+        elif text == "1":
             chunk = body
         else:
-            chunk = f"{ring.format(magnitude)}*{body}"
-        if i == 0:
-            pieces.append(f"-{chunk}" if negative else chunk)
-        else:
+            chunk = f"{text}*{body}"
+        if pieces:
             pieces.append(f" - {chunk}" if negative else f" + {chunk}")
+        else:
+            pieces.append(f"-{chunk}" if negative else chunk)
     return "".join(pieces)
 
 

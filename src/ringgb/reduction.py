@@ -125,6 +125,11 @@ def _prepare(p: Polynomial, basis):
     return {k: c for c, k in p.keyed_monomials()}, _Reducers(basis, ring.coeff_ring)
 
 
+# The memo entry of a term never seen.  Its list is shared, so it is
+# only ever concatenated, never appended to.
+_NOT_SEEN = (0, [])
+
+
 class _Reducers:
     """The basis as the reduction loop reads it, plus a memo of each term's divisors.
 
@@ -168,15 +173,10 @@ class _Reducers:
         """Indexes of the heads that divide heap key ``kt``, in basis order."""
         heads = self.heads
         n = len(heads)
-        entry = self.memo.get(kt)
-        if entry is None:
-            found = [i for i, (kh, _) in enumerate(heads) if all(map(ge, kh, kt))]
-        else:
-            start, found = entry
-            if start == n:
-                return found
+        start, found = self.memo.get(kt, _NOT_SEEN)
+        if start < n:
             found = found + [i for i in range(start, n) if all(map(ge, heads[i][0], kt))]
-        self.memo[kt] = n, found
+            self.memo[kt] = n, found
         return found
 
 

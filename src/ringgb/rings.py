@@ -13,6 +13,12 @@ Values are plain Python objects (ints for GF(p) and ZZ, ``Fraction``
 for QQ) kept in a form unique per ring value; arithmetic never rounds.
 Ring objects are stateless and hashable, safe to share across threads.
 
+Text passes through a ring at two points.  The parser hands each
+literal ``n/d`` to ``from_fraction``, and ``format``, the one printing
+hook, returns a value's signed text; its default, ``str``, serves all
+three shipped rings.  ``element`` coerces ring values, ``int`` and
+``Fraction`` and parses no text.
+
 ``reduce_step`` runs once per candidate reducer, so it takes ring
 elements (values as ``element`` returns them) and does not coerce its
 arguments; ``groebner`` and ``syzygies``, called once per critical
@@ -124,10 +130,11 @@ class CoefficientRing:
     """Contract shared by the shipped coefficient rings.
 
     The binary arithmetic methods and ``reduce_step`` assume canonical
-    inputs and return canonical outputs; ``element`` and
-    ``from_fraction`` are the entry points that canonicalize foreign
-    values.  ``groebner`` and ``syzygies`` accept anything ``element``
-    accepts.  ``_kernel_form`` is the one hook of the reduction loop;
+    inputs and return canonical outputs; ``element`` (ring values,
+    ``int``, ``Fraction``) and ``from_fraction`` (the parser's literals)
+    are the entry points that canonicalize foreign values, and
+    ``format`` is the one printing hook.  ``groebner`` and ``syzygies``
+    accept anything ``element`` accepts.  ``_kernel_form`` is the one hook of the reduction loop;
     its default runs the loop on these methods, so a ring overrides it
     only for speed.
     """
@@ -185,15 +192,8 @@ class CoefficientRing:
 
     # -- printing ----------------------------------------------------------
 
-    def is_negative(self, a) -> bool:
-        """Whether ``a`` prints with a leading minus sign."""
-        return False
-
-    def magnitude(self, a):
-        """The unsigned part of ``a`` used when printing."""
-        return a
-
     def format(self, a) -> str:
+        """Text of ``a`` in the parser's syntax, with a leading ``-`` when negative: ``-3/2``."""
         return str(a)
 
     # -- the reduction / basis contract -------------------------------------
@@ -338,11 +338,6 @@ class Rationals(_FieldMixin, CoefficientRing):
     def element(self, value):
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
-        if isinstance(value, str):
-            try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError):  # a bad literal, or "1/0"
-                raise RingError(f"cannot interpret {value!r} in qq") from None
         raise RingError(f"cannot interpret {value!r} in qq")
 
     def from_fraction(self, numerator, denominator):
@@ -361,12 +356,6 @@ class Rationals(_FieldMixin, CoefficientRing):
 
     def _div(self, a, b):
         return a / b
-
-    def is_negative(self, a):
-        return a < 0
-
-    def magnitude(self, a):
-        return abs(a)
 
     def _kernel_form(self):
         return _QQ_FORM
@@ -465,12 +454,6 @@ class Integers(CoefficientRing):
         if r:
             raise RingError(f"{b} does not divide {a} exactly")
         return q
-
-    def is_negative(self, a):
-        return a < 0
-
-    def magnitude(self, a):
-        return abs(a)
 
     def reduce_step(self, c, b):
         if b == 0:

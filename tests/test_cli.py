@@ -86,6 +86,20 @@ def test_input_file_with_comments(tmp_path):
     assert result.stdout == GOLDEN_FIELD
 
 
+@pytest.mark.parametrize(
+    "content", ["x^2 - y\nx*y - 1\n", "# the textbook pair\nx^2 - y\nx*y - 1\n"], ids=["polynomial", "comment"]
+)
+def test_input_file_with_a_byte_order_mark(tmp_path, content):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(content.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + content.encode("utf-8"))
+    args = ("gb", "--ring", "qq", "--vars", "x,y", "--input")
+    expected = subprocess.run([sys.executable, "-m", "ringgb", *args, str(plain)], capture_output=True)
+    got = subprocess.run([sys.executable, "-m", "ringgb", *args, str(marked)], capture_output=True)
+    assert (got.returncode, got.stdout, got.stderr) == (expected.returncode, expected.stdout, expected.stderr)
+    assert expected.stdout == GOLDEN_FIELD.encode()
+
+
 def test_input_file_combines_with_positional_args(tmp_path):
     ideal = tmp_path / "ideal.txt"
     ideal.write_text("2*x\n", encoding="utf-8")

@@ -143,4 +143,5 @@ def test_a_ring_without_the_hook_completes_as_the_shipped_field():
         expected, trace = groebner_basis(gens), complete(gens)
         got, their_trace = groebner_basis(mirrored), complete(mirrored)
         assert [p.monomials for p in got] == [p.monomials for p in expected]
+        assert [str(p) for p in got] == [str(p) for p in expected]  # the default ``format`` prints
         assert (their_trace.iterations, their_trace.reduction_steps) == (trace.iterations, trace.reduction_steps)

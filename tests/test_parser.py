@@ -1,9 +1,11 @@
 import random
+import string
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ringgb.parser import PolynomialSyntaxError, parse_polynomial
+from ringgb.parser import PolynomialSyntaxError, _tokenize, parse_polynomial
 from ringgb.poly import PolyRing, format_polynomial
 from ringgb.rings import Integers, PrimeField, Rationals
 
@@ -117,3 +119,53 @@ def test_roundtrip_with_fractions():
             for _ in range(rng.randint(0, 4))
         )
         assert parse_polynomial(format_polynomial(p), QQ_XY) == p
+
+
+BIG = 2**90
+SPECIAL = [0, 1, -1, 2, -2, BIG, -BIG, BIG + 1, -BIG - 1]
+integers = st.sampled_from(SPECIAL) | st.integers(-(10**6), 10**6) | st.integers(-(2**100), 2**100)
+fractions = st.builds(Fraction, integers, st.sampled_from([1, 2, 3, 7, BIG]) | st.integers(1, 10**6))
+ROUND_TRIP_RINGS = {
+    "gf(5)": (PrimeField(5), integers),
+    "gf(32003)": (PrimeField(32003), integers),
+    "qq": (Rationals(), integers | fractions),
+    "zz": (Integers(), integers),
+}
+
+
+@pytest.mark.parametrize("order", ["lex", "deglex"])
+@pytest.mark.parametrize("name", list(ROUND_TRIP_RINGS))
+def test_format_parse_roundtrip_property(name, order):
+    coeff_ring, coefficients = ROUND_TRIP_RINGS[name]
+    ring = PolyRing(coeff_ring, ["x", "y1", "z_2"], order)
+    terms = st.tuples(*[st.integers(0, 4) | st.sampled_from([0, 1, 12])] * 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(coefficients, terms), max_size=6))
+    def roundtrip(monomials):
+        p = ring.from_monomials(monomials)
+        assert parse_polynomial(format_polynomial(p), ring) == p
+
+    roundtrip()
+
+
+TOKEN_START = string.ascii_letters + string.digits + "+-*/^"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789xyzAB_+-*/^ \t\n\u00a0@.\u00e9", max_size=30))
+def test_tokens_sit_at_their_columns_or_the_first_stray_character_is_reported(text):
+    try:
+        tokens = _tokenize(text)
+    except PolynomialSyntaxError as exc:
+        col = exc.position
+        stray = text[col - 1]
+        assert not stray.isspace() and stray not in TOKEN_START
+        assert str(exc) == f"unexpected character {stray!r} (column {col})"
+        clean = _tokenize(text[: col - 1])[:-1]  # the text before it tokenizes
+        assert "".join(tok for tok, _ in clean) == "".join(text[: col - 1].split())
+        return
+    assert tokens[-1] == (None, len(text) + 1)
+    for tok, col in tokens[:-1]:
+        assert text[col - 1 : col - 1 + len(tok)] == tok
+    assert "".join(tok for tok, _ in tokens[:-1]) == "".join(text.split())
