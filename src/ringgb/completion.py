@@ -18,11 +18,12 @@ Most pair polynomials reduce to zero, so the loop builds nothing that
 only a nonzero remainder needs.  Pair polynomials come from
 ``combinations_for`` as the reduction loop's ``heap key ->
 coefficient`` accumulators and are reduced from there, under every
-strategy.  The loop records each used reducer's cofactor as a keyed
-dict; for a nonzero remainder, each new certificate entry is one
-``PolyRing._combine`` sum over those dicts, sorted once (``_expand``,
-which sums membership certificates too).  The basis is consistent by
-construction, so it is not re-checked for each normal form.
+strategy.  The loop only lists its steps, with k in its own form; for
+a nonzero remainder alone, each k leaves that form and each new
+certificate entry is one ``PolyRing._combine`` sum over the pair and
+the steps, sorted once (``_expand``, which sums membership
+certificates too).  The basis is consistent by construction, so it is
+not re-checked for each normal form.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
     neg = poly_ring.coeff_ring.neg
     budget = StepBudget(max_steps)
     reducers = _Reducers(basis)
+    leave = reducers.form.leave
     heap: list = []
 
     def enqueue_pairs(j: int):
@@ -112,15 +114,15 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
             iterations += 1
             if not q:
                 continue
-            collected = {}
-            result = _normal_form_keyed(poly_ring, q, reducers, strategy, budget, collected)
+            steps = []
+            result = _normal_form_keyed(poly_ring, q, reducers, strategy, budget, steps)
             if not result:
                 continue
             # The new element is a1*s1*basis[i] + a2*s2*basis[j] minus k*s*basis[m]
-            # for each term s, with coefficient k, of each reducer m's cofactor;
-            # k1, k2 and every ks are the heap keys of s1, s2 and s.
+            # for each step (m, k, ks); k1, k2 and every ks are the heap keys
+            # of s1, s2 and s, and each k is converted out of the loop's form.
             parts = [(record.i, a1, k1), (record.j, a2, k2)]
-            parts += [(m, neg(k), ks) for m, cofactor in collected.items() for ks, k in cofactor.items()]
+            parts += [(m, neg(k if leave is None else leave(k)), ks) for m, k, ks in steps]
             certs.append(_expand(poly_ring, certs, parts, len(gens)))
             basis.append(result)
             reducers.append(result)

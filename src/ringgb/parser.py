@@ -4,7 +4,7 @@ Grammar (whitespace free between tokens, ``*`` optional):
 
     poly   := [sign] term (sign term)*
     term   := factor (["*"] factor)*
-    factor := INT ["/" INT] | NAME ["^" INT]
+    factor := INT ["/" INT] | NAME ["^" INT]      (INT: ASCII 0-9 only)
 
 Examples: ``2*x^2*y - 3*y + 1``, ``-1/2*x + y``, ``2x^2y``.
 Coefficients must live in the session ring: ``1/2`` is an error over
@@ -25,7 +25,7 @@ import re
 from .poly import PolyRing, Polynomial
 from .rings import RingError
 
-_TOKEN = re.compile(r"(\d+|[A-Za-z][A-Za-z0-9_]*|[+\-*/^])|(\S)")
+_TOKEN = re.compile(r"([0-9]+|[A-Za-z][A-Za-z0-9_]*|[+\-*/^])|(\S)")
 
 
 class PolynomialSyntaxError(ValueError):

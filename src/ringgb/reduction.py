@@ -13,10 +13,11 @@ of Monagan & Pearce ("Sparse polynomial division using a heap", JSC 46,
 heap of their keys (``TermOrder.heap_key``).  The loop pops the largest
 pending term; each step subtracts k*s*tail(b) into the dict in place.
 Once the popped term has no valid step it is final and is emitted, so
-the remainder comes out in descending order without a sort.  Cofactors
-are collected per reducer, in a dict created at its first step.  The
-coefficients are held in the ring's ``_kernel_form`` (int pairs over
-QQ) from entry until they are emitted or collected.
+the remainder comes out in descending order without a sort.  For
+cofactors each step only appends ``(reducer, k, cofactor heap key)`` to
+a list, which its readers sum through ``PolyRing._combine``.  The loop
+computes in the ring's ``_kernel_form`` (int pairs over QQ); emitted
+coefficients leave it at once, each k only when a reader sums it.
 
 The default ``FirstReducibleStrategy`` (or None) takes the first reducer
 in basis order that hits the popped term.  Any other strategy only
@@ -221,15 +222,15 @@ def iter_reduction_steps(p: Polynomial, basis):
     return _steps(p.ring, reducers.entered(acc), reducers, {})
 
 
-def _reduce(poly_ring, acc: dict, reducers: _Reducers, strategy, budget, collected):
+def _reduce(poly_ring, acc: dict, reducers: _Reducers, strategy, budget, steps):
     """Yield the normal form as ``(coefficient, heap key)`` pairs, highest term first.
 
     ``acc`` holds the polynomial to reduce as ``heap key -> coefficient``
-    (zero entries allowed) and is consumed.  Each step's coefficient k
-    is added into ``collected[reducer]``, a dict keyed by the cofactor
-    term's heap key that is created on the reducer's first step, unless
-    ``collected`` is None.  The loop computes in ``reducers.form``;
-    emitted and collected coefficients are ring elements.
+    (zero entries allowed) and is consumed.  Unless ``steps`` is None,
+    each step appends ``(reducer, k, heap key of the cofactor term)`` to
+    it and nothing is summed: a reducer and term may recur, and k stays
+    in ``reducers.form``.  The loop computes in that form; emitted
+    coefficients are ring elements.
     """
     key_of = poly_ring.order.heap_key
     form = reducers.form
@@ -287,26 +288,17 @@ def _reduce(poly_ring, acc: dict, reducers: _Reducers, strategy, budget, collect
                     heappush(heap, ku)
                 else:
                     acc[ku] = add(old, x)
-            if collected is not None:
-                cofactor = collected.get(i)
-                if cofactor is None:
-                    collected[i] = {ks: k}
-                else:
-                    old = cofactor.get(ks)
-                    cofactor[ks] = k if old is None else add(old, k)
+            if steps is not None:
+                steps.append((i, k, ks))
             if is_zero(c):
                 break
         if not is_zero(c):
             yield (c if leave is None else leave(c)), kt
-    if leave is not None and collected:
-        for cofactor in collected.values():
-            for ks, k in cofactor.items():
-                cofactor[ks] = leave(k)
 
 
-def _normal_form_keyed(poly_ring, acc: dict, reducers, strategy, budget, collected) -> Polynomial:
+def _normal_form_keyed(poly_ring, acc: dict, reducers, strategy, budget, steps) -> Polynomial:
     """Normal form of ``acc``, a dict as ``_reduce`` takes; the basis is not checked."""
-    keyed = tuple(_reduce(poly_ring, acc, reducers, strategy, budget, collected))
+    keyed = tuple(_reduce(poly_ring, acc, reducers, strategy, budget, steps))
     return Polynomial(poly_ring, keyed=keyed)
 
 
@@ -319,17 +311,17 @@ def normal_form_with_cofactors(p: Polynomial, basis, strategy=None, budget=None)
     """Normal form plus cofactors: p = sum(cofactor[i]*basis[i]) + result.
 
     There is one cofactor per basis element; reducers that took no step
-    get the zero polynomial.
+    get the zero polynomial.  ``PolyRing._combine`` sums each reducer's
+    steps, adding those at one term and dropping the ones that cancel.
     """
     acc, reducers = _prepare(p, basis)
-    collected = {}
-    q = _normal_form_keyed(p.ring, acc, reducers, strategy, budget, collected)
-    is_zero = p.ring.coeff_ring.is_zero
-    # A cofactor keeps the terms whose coefficients cancelled, as zero entries.
-    return q, [
-        p.ring._from_keyed({ks: k for ks, k in collected.get(i, {}).items() if not is_zero(k)})
-        for i in range(len(reducers.keyed))
-    ]
+    steps = []
+    q = _normal_form_keyed(p.ring, acc, reducers, strategy, budget, steps)
+    leave = reducers.form.leave
+    parts = [[] for _ in reducers.keyed]  # per reducer, each step's monomial k*s as it is
+    for i, k, ks in steps:
+        parts[i].append((((k if leave is None else leave(k), ks),), None, None))
+    return q, [p.ring._from_keyed(p.ring._combine(cofactor)) for cofactor in parts]
 
 
 def reduces_to_zero(p: Polynomial, basis) -> bool:

@@ -136,7 +136,10 @@ class CoefficientRing:
     ``format`` is the one printing hook.  ``groebner`` and ``syzygies``
     accept anything ``element`` accepts.  ``_kernel_form`` is the one hook of the reduction loop;
     its default runs the loop on these methods, so a ring overrides it
-    only for speed.
+    only for speed.  A new ring writes ``element``, ``from_fraction``,
+    ``add``, ``mul``, ``neg``, ``exact_div``, ``reduce_step``, ``groebner``,
+    ``canonical_unit`` and ``_lcm_pair``, which the default ``syzygies``
+    divides with ``exact_div``; every other method has a default.
     """
 
     name = "?"
@@ -173,9 +176,6 @@ class CoefficientRing:
 
     def add(self, a, b):
         raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         raise NotImplementedError

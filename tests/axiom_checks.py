@@ -40,7 +40,7 @@ def check_subtraction_identity(ring, elements):
                 continue
             k, d = hit
             assert not ring.is_zero(k)
-            assert ring.sub(c, d) == ring.mul(k, b)
+            assert ring.add(c, ring.neg(d)) == ring.mul(k, b)
 
 
 def check_transitivity_int(bound):

@@ -25,7 +25,7 @@ def iter_reduction_steps(p, basis):
 
 
 def _generic_normal_form(p, basis, strategy, budget, collected):
-    """``strategy.select`` picks every step; ``collected`` as in ``_reduce``."""
+    """``strategy.select`` picks every step; ``collected[reducer]`` sums its cofactor by heap key."""
     add = p.ring.coeff_ring.add
     key_of = p.ring.order.heap_key
     q = p

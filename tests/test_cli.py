@@ -140,6 +140,13 @@ def test_input_errors_exit_2(args):
     assert "error:" in result.stderr
 
 
+def test_non_ascii_digit_exits_2():
+    result = invoke("gb", "--ring", "qq", "--vars", "x", "\u0663*x - \uff16")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "unexpected character '\u0663' (column 1)" in result.stderr
+
+
 def test_61_bit_prime_field_runs():
     result = invoke("gb", "--ring", "gf(2305843009213693951)", "--vars", "x,y",
                     "x^2 - y", "x*y - 1")

@@ -96,6 +96,17 @@ def test_integer_past_the_digit_limit_is_a_syntax_error(text, column):
     assert info.value.position == column
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [("\u0663*x - 6", 1), ("x - \uff16", 5), ("x^\u0663 - 1", 3), ("1/\u0663*x", 3)],
+    ids=["arabic-indic-coefficient", "fullwidth-coefficient", "exponent", "denominator"],
+)
+def test_only_ascii_digits_are_integers(text, column):
+    with pytest.raises(PolynomialSyntaxError, match="unexpected character") as info:
+        parse_polynomial(text, QQ_XY)
+    assert info.value.position == column
+
+
 def random_poly(rng, ring, bound=6):
     return ring.from_monomials(
         (rng.randint(-bound, bound), (rng.randint(0, 3), rng.randint(0, 3)))

@@ -16,6 +16,9 @@ from ringgb.reduction import (
 from ringgb.rings import Integers, PrimeField, Rationals
 from ringgb.completion import complete
 
+import naive_poly as naive
+import rescan_reduction as rescan
+
 QQ_X = PolyRing(Rationals(), ["x"])
 QQ_XY = PolyRing(Rationals(), ["x", "y"])
 ZZ_XY = PolyRing(Integers(), ["x", "y"])
@@ -259,3 +262,36 @@ def test_normal_forms_unique_on_strong_bases():
             reference = normal_form(probe, basis)
             for seed in range(20):
                 assert normal_form(probe, basis, SeededRandomStrategy(seed)) == reference
+
+
+class LowestTermStrategy:
+    """Takes the last candidate: the lowest term's last reducer."""
+
+    def select(self, candidates):
+        steps = list(candidates)
+        return steps[-1] if steps else None
+
+
+@pytest.mark.parametrize("coeff_ring", [Rationals(), Integers(), PrimeField(5)], ids=repr)
+def test_repeated_steps_at_one_cofactor_term_add_or_cancel(coeff_ring):
+    ring = PolyRing(coeff_ring, ["x"])
+    (x,) = ring.gens()
+    basis = [x - 1]
+    # At x, then x^2, then x again: both unit-term steps have k = 1 for
+    # x^2 + x, and k = -1 then 1 for x^2 - x.
+    for p, remainder, cofactor in ((x**2 - x, 0, x), (x**2 + x, 2, x + 2)):
+        got = normal_form_with_cofactors(p, basis, LowestTermStrategy())
+        assert got == (ring.constant(remainder), [cofactor])
+        assert got == rescan.normal_form_with_cofactors(p, basis, LowestTermStrategy())
+
+
+@pytest.mark.parametrize("coeff_ring", [Rationals(), Integers(), PrimeField(5)], ids=repr)
+def test_certificates_expand_exactly_under_repeated_steps(coeff_ring):
+    ring = PolyRing(coeff_ring, ["x", "y"])
+    x, y = ring.gens()
+    # One pair polynomial here reduces to a nonzero remainder through two
+    # steps by the same reducer at the same cofactor term.
+    trace = complete([x**2 + x * y + y, x * y - x - 1], strategy=LowestTermStrategy())
+    assert trace.added
+    for element, row in zip(trace.basis, trace.certificates):
+        assert naive.combination(coeff_ring, row, trace.generators) == naive.as_dict(element)
