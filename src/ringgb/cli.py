@@ -17,7 +17,7 @@ import argparse
 import functools
 import sys
 
-from .completion import complete, ideal_membership, interreduce
+from .completion import DEFAULT_STEP_LIMIT, complete, ideal_membership, interreduce
 from .parser import PolynomialSyntaxError, parse_polynomial
 from .poly import PolyRing, format_polynomial
 from .reduction import SeededRandomStrategy, StepLimitExceeded, normal_form
@@ -27,6 +27,16 @@ from .terms import TermOrder
 
 class InputError(Exception):
     """User-input problem that maps to exit code 2."""
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -43,6 +53,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="file with one polynomial per line (# comments, blank lines ignored)")
         p.add_argument("--seed", type=int, help="use a seeded randomized reduction strategy")
         p.add_argument("--trace", action="store_true", help="print completion statistics to stderr")
+        p.add_argument(
+            "--max-steps",
+            type=_positive_int,
+            default=DEFAULT_STEP_LIMIT,
+            help=f"reduction-step limit of the completion (default {DEFAULT_STEP_LIMIT})",
+        )
 
     gb = sub.add_parser("gb", help="compute the interreduced Groebner basis")
     common(gb)
@@ -108,7 +124,7 @@ def run(args: argparse.Namespace, out=None, err=None) -> int:
     generators = [parse_polynomial(text, poly_ring) for text in texts + args.polynomials]
     strategy = SeededRandomStrategy(args.seed) if args.seed is not None else None
 
-    trace = complete(generators, strategy=strategy)
+    trace = complete(generators, strategy=strategy, max_steps=args.max_steps)
     if args.trace:
         _emit_trace(trace, err)
 

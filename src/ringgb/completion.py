@@ -93,7 +93,7 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
     order = poly_ring.order
     neg = poly_ring.coeff_ring.neg
     budget = StepBudget(max_steps)
-    reducers = _Reducers(basis)
+    reducers = _Reducers(basis, keep_tails=True)
     leave = reducers.form.leave
     heap: list = []
 
@@ -196,7 +196,7 @@ def is_groebner_basis(basis) -> bool:
     if not basis:
         return True
     poly_ring = basis[0].ring
-    reducers = _prepare(basis[0], basis)[1]
+    reducers = _prepare(basis[0], basis, keep_tails=True)[1]
     for j in range(len(basis)):
         for record in pair_records(basis, j):
             for q, _ in combinations_for(basis, record):

@@ -16,7 +16,8 @@ Once the popped term has no valid step it is final and is emitted, so
 the remainder comes out in descending order without a sort.  For
 cofactors each step only appends ``(reducer, k, cofactor heap key)`` to
 a list, which its readers sum through ``PolyRing._combine``.  The loop
-computes in the ring's ``_kernel_form`` (int pairs over QQ); emitted
+computes in the ring's ``_kernel_form`` (int pairs over QQ, plain ints
+and operators over GF(p) and ZZ, with heads prepared once); emitted
 coefficients leave it at once, each k only when a reader sums it.
 
 The default ``FirstReducibleStrategy`` (or None) takes the first reducer
@@ -37,8 +38,13 @@ heads it has tested.  ``complete`` keeps one for its whole run and
 appends each new element, so a term met again in a later pair
 polynomial tests only the heads added since; ``is_groebner_basis``
 keeps one for its pair walk, and each public call builds its own.
-Within one reduction, ``_steps`` also keeps each pending term's
-candidate steps until a step changes that term's coefficient.
+These two long-lived indexes also keep each step's shifted tail: per
+reducer and cofactor heap key, the reducer's tail with every key
+already shifted, so that a step met again (most of a completion's
+steps are) adds no key tuples.  A public call seldom repeats a step and
+shifts the tail as it goes.  Within one reduction, ``_steps`` also
+keeps each pending term's candidate steps until a step changes that
+term's coefficient.
 """
 
 from __future__ import annotations
@@ -114,7 +120,7 @@ class SeededRandomStrategy:
         return f"SeededRandomStrategy({self.seed})"
 
 
-def _prepare(p: Polynomial, basis):
+def _prepare(p: Polynomial, basis, keep_tails=False):
     """p as ``_reduce`` takes it and the ``_Reducers`` of ``basis``, read once and checked."""
     basis = tuple(basis)
     ring = p.ring
@@ -123,7 +129,7 @@ def _prepare(p: Polynomial, basis):
             raise ValueError("basis polynomials must be nonzero")
         if b.ring is not ring and b.ring != ring:
             raise ValueError("basis polynomial from a different ring")
-    return {k: c for c, k in p.keyed_monomials()}, _Reducers(basis, ring.coeff_ring)
+    return {k: c for c, k in p.keyed_monomials()}, _Reducers(basis, ring.coeff_ring, keep_tails=keep_tails)
 
 
 # The memo entry of a term never seen.  Its list is shared, so it is
@@ -142,15 +148,22 @@ class _Reducers:
     the first n that divide it.  The basis only grows, through
     ``append``, so an entry older than the basis is extended by testing
     the new heads alone.
+
+    With ``keep_tails``, ``tails`` maps ``(i, ks)``, a reducer and the
+    heap key of a cofactor term, to element i's tail multiplied by that
+    term: ``[(c, kb + ks), ...]``, coefficients in the loop's form.
+    Basis elements never change, so an entry never goes stale.
+    Otherwise ``tails`` is None and each step shifts the tail anew.
     """
 
-    def __init__(self, basis, coeff_ring=None):
+    def __init__(self, basis, coeff_ring=None, *, keep_tails=False):
         if coeff_ring is None:
             coeff_ring = basis[0].ring.coeff_ring
         self.form = coeff_ring._kernel_form()
         self.keyed = []
         self.heads = []
         self.memo = {}
+        self.tails = {} if keep_tails else None
         for b in basis:
             self.append(b)
 
@@ -230,7 +243,9 @@ def _reduce(poly_ring, acc: dict, reducers: _Reducers, strategy, budget, steps):
     each step appends ``(reducer, k, heap key of the cofactor term)`` to
     it and nothing is summed: a reducer and term may recur, and k stays
     in ``reducers.form``.  The loop computes in that form; emitted
-    coefficients are ring elements.
+    coefficients are ring elements.  A step reads its shifted tail from
+    ``reducers.tails`` when the index keeps them, and adds it there the
+    first time.
     """
     key_of = poly_ring.order.heap_key
     form = reducers.form
@@ -242,7 +257,7 @@ def _reduce(poly_ring, acc: dict, reducers: _Reducers, strategy, budget, steps):
     default = strategy is None or type(strategy) is FirstReducibleStrategy
     select = None if default else strategy.select
     known = {}  # the candidate steps of pending terms, for ``_steps``
-    keyed, heads, divisors_of = reducers.keyed, reducers.heads, reducers.divisors
+    keyed, heads, divisors_of, tails = reducers.keyed, reducers.heads, reducers.divisors, reducers.tails
     # A coefficient that cancels stays in ``acc`` as a zero entry, so
     # that its key is never pushed twice.
     heap = list(acc)
@@ -279,15 +294,31 @@ def _reduce(poly_ring, acc: dict, reducers: _Reducers, strategy, budget, steps):
             if budget is not None:
                 budget.spend()
             minus_k = neg(k)
-            for cb, kb in islice(keyed[i], 1, None):
-                ku = tuple(map(add_int, kb, ks))
-                x = mul(cb, minus_k)
-                old = acc.get(ku)
-                if old is None:
-                    acc[ku] = x
-                    heappush(heap, ku)
-                else:
-                    acc[ku] = add(old, x)
+            # The same update twice: with no memo the keys are shifted in
+            # place, as building a tail list that is used once costs more.
+            if tails is None:
+                for cb, kb in islice(keyed[i], 1, None):
+                    ku = tuple(map(add_int, kb, ks))
+                    x = mul(cb, minus_k)
+                    old = acc.get(ku)
+                    if old is None:
+                        acc[ku] = x
+                        heappush(heap, ku)
+                    else:
+                        acc[ku] = add(old, x)
+            else:
+                tail = tails.get((i, ks))
+                if tail is None:
+                    tail = [(cb, tuple(map(add_int, kb, ks))) for cb, kb in islice(keyed[i], 1, None)]
+                    tails[i, ks] = tail
+                for cb, ku in tail:
+                    x = mul(cb, minus_k)
+                    old = acc.get(ku)
+                    if old is None:
+                        acc[ku] = x
+                        heappush(heap, ku)
+                    else:
+                        acc[ku] = add(old, x)
             if steps is not None:
                 steps.append((i, k, ks))
             if is_zero(c):

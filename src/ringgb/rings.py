@@ -29,15 +29,17 @@ which returns a ``_KernelForm``: the coefficient representation the loop
 computes in, with its arithmetic and a division step against a head
 prepared once per basis element.  The default is the ring's own values
 and methods, so a further ring needs nothing more than the contract
-above.  GF(p) prepares each head as its inverse, and QQ reduces in
-``(numerator, denominator)`` int pairs in lowest terms, which cost a
-fraction of ``Fraction`` arithmetic; every value outside the loop stays
-as ``element`` returns it.
+above.  GF(p) prepares each head as its inverse, ZZ prepares it as
+``(b, |b|)`` and computes with the ``operator`` functions, and QQ
+reduces in ``(numerator, denominator)`` int pairs in lowest terms,
+which cost a fraction of ``Fraction`` arithmetic; every value outside
+the loop stays as ``element`` returns it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from math import gcd
 from fractions import Fraction
@@ -413,7 +415,9 @@ class Integers(CoefficientRing):
     A step of c by b leaves the remainder in the half-open window
     (-|b|/2, |b|/2]; the tie at |b|/2 keeps the positive representative.
     Remainders are canonical, which is what makes normal forms over ZZ
-    unique and the computed bases strong.
+    unique and the computed bases strong.  The reduction loop computes on
+    the ints themselves through ``operator.add``, ``mul`` and ``neg``,
+    and its ``_kernel_form`` prepares each head once as ``(b, |b|)``.
     """
 
     name = "zz"
@@ -486,6 +490,33 @@ class Integers(CoefficientRing):
         if c == 0:
             raise RingError("zero has no canonical unit")
         return -1 if c < 0 else 1
+
+    def _kernel_form(self):
+        return _ZZ_FORM
+
+
+def _zz_step(c, head):
+    # ``reduce_step`` against a head prepared as (b, |b|): k = 0 exactly
+    # when the symmetric remainder d equals c.
+    b, m = head
+    d = c % m
+    if 2 * d > m:
+        d -= m
+    if d == c:
+        return None
+    return (c - d) // b, d
+
+
+_ZZ_FORM = _KernelForm(
+    enter=None,
+    leave=None,
+    add=operator.add,
+    mul=operator.mul,
+    neg=operator.neg,
+    is_zero=operator.not_,
+    prepare=lambda b: (b, abs(b)),
+    step=_zz_step,
+)
 
 
 def ring_from_string(text: str) -> CoefficientRing:

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from ringgb.cli import build_arg_parser, run
+from ringgb.completion import DEFAULT_STEP_LIMIT
 
 GOLDEN_FIELD = "x - y^2\ny^3 - 1\n"
 GOLDEN_INT = "x*y\n2*x\n3*y\n"
@@ -145,6 +146,36 @@ def test_non_ascii_digit_exits_2():
     assert result.returncode == 2
     assert result.stdout == ""
     assert "unexpected character '\u0663' (column 1)" in result.stderr
+
+
+KATSURA4 = (
+    "u0 + 2*u1 + 2*u2 + 2*u3 - 1",
+    "u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0",
+    "2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1",
+    "2*u0*u2 + u1^2 + 2*u1*u3 - u2",
+)
+
+
+def test_max_steps_bounds_the_completion():
+    args = ("gb", "--ring", "zz", "--order", "deglex", "--vars", "u0,u1,u2,u3")
+    result = invoke(*args, "--max-steps", "10", *KATSURA4)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: exceeded the configured limit of 10 reduction steps\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "ten"])
+def test_max_steps_must_be_positive(value):
+    result = invoke("gb", "--ring", "zz", "--vars", "x,y", "--max-steps", value, "2*x", "3*y")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "--max-steps" in result.stderr
+
+
+def test_max_steps_default_and_a_limit_that_is_not_reached():
+    argv = ["gb", "--ring", "qq", "--vars", "x,y", "x^2 - y", "x*y - 1"]
+    assert build_arg_parser().parse_args(argv).max_steps == DEFAULT_STEP_LIMIT
+    assert run_in_process([*argv[:5], "--max-steps", "100", *argv[5:]]) == (0, GOLDEN_FIELD, "")
 
 
 def test_61_bit_prime_field_runs():

@@ -220,6 +220,17 @@ def test_zz_corpus_completion_totals():
     assert sum(t.reduction_steps for t in zz) == 174_847
 
 
+@pytest.mark.parametrize(
+    "ring_name, totals", [("gf(5)", (1_962, 210, 6_131)), ("qq", (1_870, 187, 6_558))], ids=["gf(5)", "qq"]
+)
+def test_field_corpus_completion_totals(ring_name, totals):
+    traces = [entry.trace for entry in corpus() if entry.ring_name == ring_name]
+    iterations = sum(t.iterations for t in traces)
+    added = sum(len(t.added) for t in traces)
+    steps = sum(t.reduction_steps for t in traces)
+    assert (iterations, added, steps) == totals
+
+
 def test_membership_of_empty_ideal():
     x, _ = QQ_XY.gens()
     result = ideal_membership(x, [])

@@ -3,8 +3,9 @@
 QQ reduces in ``(numerator, denominator)`` int pairs: every operation
 must agree exactly with ``Fraction`` and stay in lowest terms, also on
 large, negative and cancelling values.  GF(p) prepares each head as
-its inverse.  A ring written against the contract alone keeps the
-default form and completes exactly as the shipped GF(7) does.
+its inverse, and ZZ as ``(b, |b|)``, whose step must give the ring's
+``(k, d)`` exactly.  A ring written against the contract alone keeps
+the default form and completes exactly as the shipped GF(7) does.
 """
 
 import random
@@ -13,12 +14,12 @@ from math import gcd
 
 import pytest
 
-from ringgb import CoefficientRing, PolyRing, PrimeField, Rationals, RingError, complete, groebner_basis
+from ringgb import CoefficientRing, Integers, PolyRing, PrimeField, Rationals, RingError, complete, groebner_basis
 
-from corpus import nonzero_poly
+from corpus import corpus, nonzero_poly
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 QQ = Rationals()
 FORM = QQ._kernel_form()
@@ -82,6 +83,73 @@ def test_prime_field_prepares_heads_as_inverses():
         for c in (1, 5, 32002):
             assert form.step(c, inverse) == PrimeField(32003).reduce_step(c, b)
         assert form.step(0, inverse) is None
+
+
+ZZ = Integers()
+ZZ_FORM = ZZ._kernel_form()
+
+integers = st.integers(-9, 9) | st.integers(-(2**90), 2**90)
+divisors = integers.filter(bool) | st.sampled_from([1, -1])
+# c = q*b + |b|/2 or q*b - |b|/2 for even b, the two sides of the window's edge
+ties = st.tuples(divisors.map(lambda b: 2 * b), st.integers(-3, 3) | integers, st.sampled_from([1, -1])).map(
+    lambda t: (t[1] * t[0] + t[2] * abs(t[0]) // 2, t[0])
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.tuples(integers, divisors) | ties)
+@example((3, 6))  # the tie keeps +|b|/2: no step
+@example((-3, -6))
+@example((-3, 6))
+@example((5, 1))
+@example((-5, -1))
+@example((2**90, -7))
+def test_zz_step_is_the_rings_reduce_step(pair):
+    c, b = pair
+    assert ZZ_FORM.enter is None and ZZ_FORM.leave is None
+    assert ZZ_FORM.prepare(b) == (b, abs(b))
+    assert ZZ_FORM.step(c, ZZ_FORM.prepare(b)) == ZZ.reduce_step(c, b)
+
+
+class DefaultFormZZ(Integers):
+    """ZZ that reduces through the default form, on the ring's own methods."""
+
+    name = "default-form-zz"
+
+    def _kernel_form(self):
+        return CoefficientRing._kernel_form(self)
+
+
+def katsura4(R):
+    u = R.gens()
+
+    def U(i):
+        return u[abs(i)] if abs(i) < 4 else R.zero()
+
+    gens = [sum((U(i) for i in range(-3, 4)), R.zero()) - 1]
+    gens += [sum((U(i) * U(m - i) for i in range(-3, 4)), R.zero()) - U(m) for m in range(3)]
+    return gens
+
+
+def trace_fields(trace):
+    return (
+        [p.monomials for p in trace.basis],
+        [p.monomials for p in trace.added],
+        [[c.monomials for c in row] for row in trace.certificates],
+        trace.iterations,
+        trace.pairs_processed,
+        trace.reduction_steps,
+    )
+
+
+def test_zz_form_completes_as_the_default_form():
+    ideals = [entry.generators for entry in corpus() if entry.ring_name == "zz"]
+    ideals.append(katsura4(PolyRing(ZZ, ["u0", "u1", "u2", "u3"], "deglex")))
+    for gens in ideals:
+        R = gens[0].ring
+        mirror = PolyRing(DefaultFormZZ(), R.variables, R.order)
+        ours, theirs = complete(gens), complete([mirror.from_monomials(g.monomials) for g in gens])
+        assert trace_fields(theirs) == trace_fields(ours)
 
 
 class ContractGF7(CoefficientRing):
