@@ -42,7 +42,7 @@ These two long-lived indexes also keep each step's shifted tail: per
 reducer and cofactor heap key, the reducer's tail with every key
 already shifted, so that a step met again (most of a completion's
 steps are) adds no key tuples.  A public call seldom repeats a step and
-shifts the tail as it goes.  Within one reduction, ``_steps`` also
+builds each shifted tail anew.  Within one reduction, ``_steps`` also
 keeps each pending term's candidate steps until a step changes that
 term's coefficient.
 """
@@ -153,7 +153,7 @@ class _Reducers:
     heap key of a cofactor term, to element i's tail multiplied by that
     term: ``[(c, kb + ks), ...]``, coefficients in the loop's form.
     Basis elements never change, so an entry never goes stale.
-    Otherwise ``tails`` is None and each step shifts the tail anew.
+    Otherwise ``tails`` is None and each step builds its shifted tail anew.
     """
 
     def __init__(self, basis, coeff_ring=None, *, keep_tails=False):
@@ -294,31 +294,19 @@ def _reduce(poly_ring, acc: dict, reducers: _Reducers, strategy, budget, steps):
             if budget is not None:
                 budget.spend()
             minus_k = neg(k)
-            # The same update twice: with no memo the keys are shifted in
-            # place, as building a tail list that is used once costs more.
-            if tails is None:
-                for cb, kb in islice(keyed[i], 1, None):
-                    ku = tuple(map(add_int, kb, ks))
-                    x = mul(cb, minus_k)
-                    old = acc.get(ku)
-                    if old is None:
-                        acc[ku] = x
-                        heappush(heap, ku)
-                    else:
-                        acc[ku] = add(old, x)
-            else:
-                tail = tails.get((i, ks))
-                if tail is None:
-                    tail = [(cb, tuple(map(add_int, kb, ks))) for cb, kb in islice(keyed[i], 1, None)]
+            tail = None if tails is None else tails.get((i, ks))
+            if tail is None:
+                tail = [(cb, tuple(map(add_int, kb, ks))) for cb, kb in islice(keyed[i], 1, None)]
+                if tails is not None:
                     tails[i, ks] = tail
-                for cb, ku in tail:
-                    x = mul(cb, minus_k)
-                    old = acc.get(ku)
-                    if old is None:
-                        acc[ku] = x
-                        heappush(heap, ku)
-                    else:
-                        acc[ku] = add(old, x)
+            for cb, ku in tail:
+                x = mul(cb, minus_k)
+                old = acc.get(ku)
+                if old is None:
+                    acc[ku] = x
+                    heappush(heap, ku)
+                else:
+                    acc[ku] = add(old, x)
             if steps is not None:
                 steps.append((i, k, ks))
             if is_zero(c):

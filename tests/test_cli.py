@@ -169,7 +169,7 @@ def test_max_steps_must_be_positive(value):
     result = invoke("gb", "--ring", "zz", "--vars", "x,y", "--max-steps", value, "2*x", "3*y")
     assert result.returncode == 2
     assert result.stdout == ""
-    assert "--max-steps" in result.stderr
+    assert f"--max-steps: expected a positive integer, got '{value}'" in result.stderr
 
 
 def test_max_steps_default_and_a_limit_that_is_not_reached():
