@@ -26,6 +26,7 @@ from .reduction import (
     SeededRandomStrategy,
     StepBudget,
     StepLimitExceeded,
+    iter_reduction_steps,
     normal_form,
     normal_form_with_cofactors,
     reduces_to_zero,
@@ -63,6 +64,7 @@ __all__ = [
     "SeededRandomStrategy",
     "StepBudget",
     "StepLimitExceeded",
+    "iter_reduction_steps",
     "normal_form",
     "normal_form_with_cofactors",
     "reduces_to_zero",

@@ -19,11 +19,12 @@ only a nonzero remainder needs.  Pair polynomials come from
 ``combinations_for`` as the reduction loop's ``heap key ->
 coefficient`` accumulators and are reduced from there, under every
 strategy.  The loop only lists its steps, with k in its own form; for
-a nonzero remainder alone, each k leaves that form and each new
-certificate entry is one ``PolyRing._combine`` sum over the pair and
-the steps, sorted once (``_expand``, which sums membership
-certificates too).  The basis is consistent by construction, so it is
-not re-checked for each normal form.
+a nonzero remainder alone, ``_Reducers.records`` converts each k and
+each new certificate entry is one ``PolyRing._combine`` sum over the
+pair and the steps, sorted once (``_expand``).  Membership reduces the
+query the same way and expands the step records of a zero remainder,
+with no cofactor polynomial in between.  The basis is consistent by
+construction, so it is not re-checked for each normal form.
 """
 
 from __future__ import annotations
@@ -33,14 +34,7 @@ from dataclasses import dataclass
 
 from .pairs import combinations_for, pair_records, record_sort_key
 from .poly import Polynomial
-from .reduction import (
-    StepBudget,
-    _prepare,
-    _Reducers,
-    _normal_form_keyed,
-    normal_form,
-    normal_form_with_cofactors,
-)
+from .reduction import StepBudget, _prepare, _Reducers, _normal_form_keyed, normal_form
 
 #: Safety valve only; termination is guaranteed by the ascending chain
 #: condition, so desk-scale inputs never come near this.
@@ -94,7 +88,6 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
     neg = poly_ring.coeff_ring.neg
     budget = StepBudget(max_steps)
     reducers = _Reducers(basis, keep_tails=True)
-    leave = reducers.form.leave
     heap: list = []
 
     def enqueue_pairs(j: int):
@@ -115,14 +108,14 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
             if not q:
                 continue
             steps = []
-            result = _normal_form_keyed(poly_ring, q, reducers, strategy, budget, steps)
+            result = _normal_form_keyed(q, reducers, strategy, budget, steps)
             if not result:
                 continue
             # The new element is a1*s1*basis[i] + a2*s2*basis[j] minus k*s*basis[m]
             # for each step (m, k, ks); k1, k2 and every ks are the heap keys
-            # of s1, s2 and s, and each k is converted out of the loop's form.
+            # of s1, s2 and s.
             parts = [(record.i, a1, k1), (record.j, a2, k2)]
-            parts += [(m, neg(k if leave is None else leave(k)), ks) for m, k, ks in steps]
+            parts += [(m, neg(k), ks) for m, k, ks in reducers.records(steps)]
             certs.append(_expand(poly_ring, certs, parts, len(gens)))
             basis.append(result)
             reducers.append(result)
@@ -195,12 +188,11 @@ def is_groebner_basis(basis) -> bool:
         raise ValueError("critical pairs require nonzero basis entries")
     if not basis:
         return True
-    poly_ring = basis[0].ring
-    reducers = _prepare(basis[0], basis, keep_tails=True)[1]
+    reducers = _Reducers(basis, keep_tails=True)
     for j in range(len(basis)):
         for record in pair_records(basis, j):
             for q, _ in combinations_for(basis, record):
-                if q and _normal_form_keyed(poly_ring, q, reducers, None, None, None):
+                if q and _normal_form_keyed(q, reducers, None, None, None):
                     return False
     return True
 
@@ -241,11 +233,12 @@ def ideal_membership(
         raise ValueError("the trace was completed from different generators")
     if trace.generators and p.ring != trace.generators[0].ring:
         raise ValueError("query polynomial from a different ring")
-    remainder, cofactors = normal_form_with_cofactors(p, trace.basis, strategy)
+    acc, reducers = _prepare(p, trace.basis)
+    steps = []
+    remainder = _normal_form_keyed(acc, reducers, strategy, None, steps)
     if remainder:
         return MembershipResult(False, None, remainder)
-    parts = [(m, c, k) for m, cofactor in enumerate(cofactors) for c, k in cofactor.keyed_monomials()]
-    certificate = _expand(p.ring, trace.certificates, parts, len(trace.generators))
+    certificate = _expand(p.ring, trace.certificates, reducers.records(steps), len(trace.generators))
     return MembershipResult(True, certificate, remainder)
 
 

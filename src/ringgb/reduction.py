@@ -18,7 +18,9 @@ cofactors each step only appends ``(reducer, k, cofactor heap key)`` to
 a list, which its readers sum through ``PolyRing._combine``.  The loop
 computes in the ring's ``_kernel_form`` (int pairs over QQ, plain ints
 and operators over GF(p) and ZZ, with heads prepared once); emitted
-coefficients leave it at once, each k only when a reader sums it.
+coefficients leave it at once, and each k only when a reader takes the
+records from ``_Reducers.records``, so no module but this one knows
+the form.
 
 The default ``FirstReducibleStrategy`` (or None) takes the first reducer
 in basis order that hits the popped term.  Any other strategy only
@@ -120,16 +122,9 @@ class SeededRandomStrategy:
         return f"SeededRandomStrategy({self.seed})"
 
 
-def _prepare(p: Polynomial, basis, keep_tails=False):
+def _prepare(p: Polynomial, basis):
     """p as ``_reduce`` takes it and the ``_Reducers`` of ``basis``, read once and checked."""
-    basis = tuple(basis)
-    ring = p.ring
-    for b in basis:
-        if not b:
-            raise ValueError("basis polynomials must be nonzero")
-        if b.ring is not ring and b.ring != ring:
-            raise ValueError("basis polynomial from a different ring")
-    return {k: c for c, k in p.keyed_monomials()}, _Reducers(basis, ring.coeff_ring, keep_tails=keep_tails)
+    return {k: c for c, k in p.keyed_monomials()}, _Reducers(basis, p.ring)
 
 
 # The memo entry of a term never seen.  Its list is shared, so it is
@@ -140,10 +135,13 @@ _NOT_SEEN = (0, [])
 class _Reducers:
     """The basis as the reduction loop reads it, plus a memo of each term's divisors.
 
-    ``form`` is the ``_KernelForm`` of ``coeff_ring``, by default the
-    first element's coefficient ring.  ``keyed[i]`` holds basis element
-    i's keyed monomials in that form, and ``heads[i]`` its head as
-    ``(heap key, prepared coefficient)``.  ``memo`` maps a heap key to
+    ``ring`` is the ``PolyRing`` of the basis, by default the first
+    element's; ``append`` rejects a zero element or one from another
+    ring.  ``form`` is the ``_KernelForm`` of its coefficients, and
+    ``records`` converts the loop's step records out of it.
+    ``keyed[i]`` holds basis element i's keyed monomials in that form,
+    and ``heads[i]`` its head as ``(heap key, prepared coefficient)``.
+    ``memo`` maps a heap key to
     ``(n, divisors)``: the indexes, in basis order, of the heads among
     the first n that divide it.  The basis only grows, through
     ``append``, so an entry older than the basis is extended by testing
@@ -156,10 +154,9 @@ class _Reducers:
     Otherwise ``tails`` is None and each step builds its shifted tail anew.
     """
 
-    def __init__(self, basis, coeff_ring=None, *, keep_tails=False):
-        if coeff_ring is None:
-            coeff_ring = basis[0].ring.coeff_ring
-        self.form = coeff_ring._kernel_form()
+    def __init__(self, basis, ring=None, *, keep_tails=False):
+        self.ring = basis[0].ring if ring is None else ring
+        self.form = self.ring.coeff_ring._kernel_form()
         self.keyed = []
         self.heads = []
         self.memo = {}
@@ -168,6 +165,10 @@ class _Reducers:
             self.append(b)
 
     def append(self, b: Polynomial):
+        if not b:
+            raise ValueError("basis polynomials must be nonzero")
+        if b.ring is not self.ring and b.ring != self.ring:
+            raise ValueError("basis polynomial from a different ring")
         keyed = b.keyed_monomials()
         enter = self.form.enter
         if enter is not None:
@@ -183,6 +184,11 @@ class _Reducers:
                 acc[kt] = enter(c)
         return acc
 
+    def records(self, steps: list) -> list:
+        """``_reduce``'s step records ``(reducer, k, cofactor heap key)``, each k a ring element."""
+        leave = self.form.leave
+        return steps if leave is None else [(i, leave(k), ks) for i, k, ks in steps]
+
     def divisors(self, kt):
         """Indexes of the heads that divide heap key ``kt``, in basis order."""
         heads = self.heads
@@ -194,7 +200,7 @@ class _Reducers:
         return found
 
 
-def _steps(poly_ring, acc: dict, reducers: _Reducers, known: dict):
+def _steps(acc: dict, reducers: _Reducers, known: dict):
     """Every valid step on ``acc`` (in the loop's form), as ``ReductionStep``s.
 
     Terms come largest first and reducers in basis order; each step's
@@ -203,7 +209,7 @@ def _steps(poly_ring, acc: dict, reducers: _Reducers, known: dict):
     reduction: a step rewrites only a few coefficients, and a term whose
     coefficient object is unchanged has the same steps.
     """
-    term_of = poly_ring.order.term_from_heap_key
+    term_of = reducers.ring.order.term_from_heap_key
     step, is_zero, leave = reducers.form.step, reducers.form.is_zero, reducers.form.leave
     heads, divisors = reducers.heads, reducers.divisors
     for kt in sorted(acc):
@@ -232,10 +238,10 @@ def iter_reduction_steps(p: Polynomial, basis):
     Raises ``ValueError`` for a zero basis entry or one from another ring.
     """
     acc, reducers = _prepare(p, basis)
-    return _steps(p.ring, reducers.entered(acc), reducers, {})
+    return _steps(reducers.entered(acc), reducers, {})
 
 
-def _reduce(poly_ring, acc: dict, reducers: _Reducers, strategy, budget, steps):
+def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
     """Yield the normal form as ``(coefficient, heap key)`` pairs, highest term first.
 
     ``acc`` holds the polynomial to reduce as ``heap key -> coefficient``
@@ -247,7 +253,7 @@ def _reduce(poly_ring, acc: dict, reducers: _Reducers, strategy, budget, steps):
     ``reducers.tails`` when the index keeps them, and adds it there the
     first time.
     """
-    key_of = poly_ring.order.heap_key
+    key_of = reducers.ring.order.heap_key
     form = reducers.form
     add, mul, neg, is_zero, step, enter, leave = (
         form.add, form.mul, form.neg, form.is_zero, form.step, form.enter, form.leave
@@ -282,7 +288,7 @@ def _reduce(poly_ring, acc: dict, reducers: _Reducers, strategy, budget, steps):
                 # The chosen step may target a lower pending term: it
                 # rewrites that term's coefficient and leaves c as it is.
                 acc[kt] = c
-                chosen = select(_steps(poly_ring, acc, reducers, known))
+                chosen = select(_steps(acc, reducers, known))
                 if chosen is None:
                     raise ValueError(f"{strategy!r} selected no step while a step was valid")
                 i, k, d = chosen.reducer, chosen.coefficient, chosen.remainder
@@ -315,15 +321,14 @@ def _reduce(poly_ring, acc: dict, reducers: _Reducers, strategy, budget, steps):
             yield (c if leave is None else leave(c)), kt
 
 
-def _normal_form_keyed(poly_ring, acc: dict, reducers, strategy, budget, steps) -> Polynomial:
-    """Normal form of ``acc``, a dict as ``_reduce`` takes; the basis is not checked."""
-    keyed = tuple(_reduce(poly_ring, acc, reducers, strategy, budget, steps))
-    return Polynomial(poly_ring, keyed=keyed)
+def _normal_form_keyed(acc: dict, reducers, strategy, budget, steps) -> Polynomial:
+    """Normal form of ``acc``, a dict as ``_reduce`` takes, in ``reducers.ring``."""
+    return Polynomial(reducers.ring, keyed=tuple(_reduce(acc, reducers, strategy, budget, steps)))
 
 
 def normal_form(p: Polynomial, basis, strategy=None, budget=None) -> Polynomial:
     """Reduce p to a fixpoint irreducible with respect to ``basis``."""
-    return _normal_form_keyed(p.ring, *_prepare(p, basis), strategy, budget, None)
+    return _normal_form_keyed(*_prepare(p, basis), strategy, budget, None)
 
 
 def normal_form_with_cofactors(p: Polynomial, basis, strategy=None, budget=None):
@@ -335,14 +340,13 @@ def normal_form_with_cofactors(p: Polynomial, basis, strategy=None, budget=None)
     """
     acc, reducers = _prepare(p, basis)
     steps = []
-    q = _normal_form_keyed(p.ring, acc, reducers, strategy, budget, steps)
-    leave = reducers.form.leave
+    q = _normal_form_keyed(acc, reducers, strategy, budget, steps)
     parts = [[] for _ in reducers.keyed]  # per reducer, each step's monomial k*s as it is
-    for i, k, ks in steps:
-        parts[i].append((((k if leave is None else leave(k), ks),), None, None))
+    for i, k, ks in reducers.records(steps):
+        parts[i].append((((k, ks),), None, None))
     return q, [p.ring._from_keyed(p.ring._combine(cofactor)) for cofactor in parts]
 
 
 def reduces_to_zero(p: Polynomial, basis) -> bool:
     """Whether p has 0 as a normal form under the default strategy."""
-    return next(_reduce(p.ring, *_prepare(p, basis), None, None, None), None) is None
+    return next(_reduce(*_prepare(p, basis), None, None, None), None) is None

@@ -162,6 +162,13 @@ def test_is_groebner_basis_examples():
     assert is_groebner_basis([])
 
 
+def test_is_groebner_basis_rejects_mixed_rings():
+    x = QQ_XY.gens()[0]
+    zx = ZZ_XY.gens()[0]
+    with pytest.raises(ValueError, match="different ring"):
+        is_groebner_basis([x, zx])
+
+
 def test_membership_examples():
     x = PolyRing(Rationals(), ["x"]).gens()[0]
     result = ideal_membership(x**3 - 1, [x - 1])

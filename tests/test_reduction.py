@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import ringgb
 from ringgb.poly import PolyRing
 from ringgb.reduction import (
     FirstReducibleStrategy,
@@ -181,6 +182,10 @@ def test_iter_reduction_steps_rejects_zero_or_foreign_basis_entries():
         iter_reduction_steps(x, [QQ_X.zero()])
     with pytest.raises(ValueError, match="different ring"):
         iter_reduction_steps(ZZ_XY.gens()[0], [QQ_XY.gens()[0]])
+
+
+def test_iter_reduction_steps_is_exported():
+    assert ringgb.iter_reduction_steps is ringgb.reduction.iter_reduction_steps
 
 
 def test_basis_may_be_a_one_shot_iterable():
