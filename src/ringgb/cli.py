@@ -93,6 +93,7 @@ def read_polynomial_file(path: str) -> list:
 
 def _emit_trace(trace, stream):
     print(f"pairs processed: {trace.pairs_processed}", file=stream)
+    print("pairs skipped: product {}, chain {}".format(*trace.pairs_skipped), file=stream)
     print(f"pair polynomials examined: {trace.iterations}", file=stream)
     print(f"polynomials added: {len(trace.added)}", file=stream)
     print(f"reduction steps: {trace.reduction_steps}", file=stream)

@@ -9,6 +9,20 @@ the certificate that the basis is a Groebner basis; because the shipped
 rings admit canonical remainders, the result is in fact strong (normal
 forms are unique regardless of reduction strategy).
 
+Over a field (``CoefficientRing.is_field``) the gcd polynomial of a pair
+is a multiple of one of its elements and the syzygy polynomial is the
+classical S-polynomial, so only syzygy records are queued, and
+Buchberger's two criteria skip the S-polynomials whose reduction is
+known to be unnecessary, in the "pairs already treated" form
+(Buchberger, 1979; Becker & Weispfenning, *Groebner Bases*, 1993,
+chapter 5).  The product criterion skips a pair whose head terms are
+coprime.  The chain criterion skips a pair (i, j) when some other
+element k has a head dividing lcm(i, j) and neither (i, k) nor (j, k)
+is still queued: both were treated, so the S-polynomial of (i, j) has a
+representation below its lcm through theirs.  A skipped record counts
+as treated.  Over ``zz`` every gcd and syzygy record is still reduced:
+the criteria need conditions on the head coefficients there.
+
 Every basis element carries an exact combination certificate over the
 original generators, maintained through both the pair construction and
 the reduction cofactors, so ideal preservation is witnessed rather than
@@ -31,8 +45,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import add, ge
 
-from .pairs import combinations_for, pair_records, record_sort_key
+from .pairs import GCD, combinations_for, pair_records, record_sort_key
 from .poly import Polynomial
 from .reduction import StepBudget, _prepare, _Reducers, _normal_form_keyed, normal_form
 
@@ -48,7 +63,10 @@ class CompletionTrace:
     ``certificates[m][g]`` is the cofactor of original generator ``g``
     in basis element ``m``: basis[m] = sum(certificates[m][g] * generators[g]).
     ``iterations`` counts pair polynomials examined (normal forms taken),
-    ``pairs_processed`` counts queue records drained.
+    ``pairs_processed`` counts queue records drained, skipped ones
+    included, and ``pairs_skipped`` is ``(product, chain)``: the records
+    skipped by each criterion (always ``(0, 0)`` over a ring that is not
+    a field).
     """
 
     generators: tuple
@@ -58,6 +76,7 @@ class CompletionTrace:
     iterations: int
     pairs_processed: int
     reduction_steps: int
+    pairs_skipped: tuple = (0, 0)
 
 
 def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> CompletionTrace:
@@ -88,10 +107,19 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
     neg = poly_ring.coeff_ring.neg
     budget = StepBudget(max_steps)
     reducers = _Reducers(basis, keep_tails=True)
+    heads = reducers.heads
     heap: list = []
+    # Over a field: the (i, j) of the syzygy records still queued, for
+    # the chain criterion; gcd records are never queued.
+    field = poly_ring.coeff_ring.is_field
+    pending: set = set()
 
     def enqueue_pairs(j: int):
         for record in pair_records(basis, j):
+            if field:
+                if record.kind == GCD:
+                    continue
+                pending.add((record.i, j))
             heapq.heappush(heap, (record_sort_key(record, order), record))
 
     for j in range(len(basis)):
@@ -100,9 +128,27 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
     added: list[Polynomial] = []
     iterations = 0
     pairs_processed = 0
+    product = chain = 0
     while heap:
         _, record = heapq.heappop(heap)
         pairs_processed += 1
+        if field:
+            i, j = record.i, record.j
+            pending.discard((i, j))
+            kl = order.heap_key(record.lcm)
+            if kl == tuple(map(add, heads[i][0], heads[j][0])):
+                product += 1  # coprime head terms: the S-polynomial reduces to zero
+                continue
+            # A head k dividing the lcm, with (i, k) and (j, k) both treated.
+            if any(
+                k != i and k != j
+                and (min(i, k), max(i, k)) not in pending
+                and (min(j, k), max(j, k)) not in pending
+                and all(map(ge, kh, kl))
+                for k, (kh, _) in enumerate(heads)
+            ):
+                chain += 1
+                continue
         for q, ((a1, k1), (a2, k2)) in combinations_for(basis, record):
             iterations += 1
             if not q:
@@ -130,6 +176,7 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
         iterations=iterations,
         pairs_processed=pairs_processed,
         reduction_steps=budget.used,
+        pairs_skipped=(product, chain),
     )
 
 
@@ -176,9 +223,14 @@ def interreduce(basis) -> list:
             if r != p:
                 changed = True
         polys = kept
-    # Ascending head keys are descending head terms.
+    # Ascending head keys are descending head terms.  The elements of a
+    # reduced basis share most of their terms, so the result holds one
+    # key tuple per distinct term: a caller that keeps many bases keeps
+    # a fraction of the keys.
     polys.sort(key=lambda p: p.keyed_monomials()[0][1])
-    return polys
+    keys: dict = {}
+    share = keys.setdefault
+    return [Polynomial(p.ring, keyed=tuple((c, share(k, k)) for c, k in p.keyed_monomials())) for p in polys]
 
 
 def is_groebner_basis(basis) -> bool:

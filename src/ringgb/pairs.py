@@ -6,6 +6,9 @@ generated; syzygy polynomials combine the pair so the lcm term cancels
 outright, pushing the head strictly below it.  Over a field the single
 syzygy polynomial is the classical S-polynomial up to a unit and the
 gcd polynomial is redundant; over the integers both kinds matter.
+``pair_records`` lists both kinds for every ring: ``complete`` drops
+the gcd records over a field and applies its pair criteria to the
+syzygy records, while ``is_groebner_basis`` checks every record.
 
 ``pair_records`` enumerates the records of one new basis element and
 ``combinations_for`` builds the polynomials of one record.  Pairs are

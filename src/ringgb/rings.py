@@ -141,10 +141,14 @@ class CoefficientRing:
     only for speed.  A new ring writes ``element``, ``from_fraction``,
     ``add``, ``mul``, ``neg``, ``exact_div``, ``reduce_step``, ``groebner``,
     ``canonical_unit`` and ``_lcm_pair``, which the default ``syzygies``
-    divides with ``exact_div``; every other method has a default.
+    divides with ``exact_div``; every other method has a default.  A
+    field also sets ``is_field``.
     """
 
     name = "?"
+    #: Whether every nonzero value is a unit.  Completion then applies
+    #: Buchberger's pair criteria, which hold over fields only.
+    is_field = False
 
     def _key(self):
         return (type(self).__name__,)
@@ -254,6 +258,8 @@ class _FieldMixin:
     Each field class sets ``_ZERO``, its zero as ``element(0)`` gives it,
     which every division step returns as its remainder.
     """
+
+    is_field = True
 
     def exact_div(self, a, b):
         if self.is_zero(b):

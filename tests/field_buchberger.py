@@ -7,26 +7,31 @@ completion path beyond polynomial arithmetic.
 """
 
 from collections import deque
+from itertools import islice
+from operator import le
 
-from ringgb.terms import term_div, term_divides, term_lcm
+from ringgb.terms import term_div, term_lcm
 
 
 def field_normal_form(p, basis):
+    """Reduce the largest reducible monomial by the first basis element whose head divides it, until none is left."""
     ring = p.ring.coeff_ring
-    q = p
+    term_of = p.ring.order.term_from_heap_key
+    heads = [(b.head_term, b.head_coeff, b) for b in basis]
+    q, start = p, 0
     while True:
-        target = None
-        for c, t in q.monomials:
-            for b in basis:
-                if term_divides(b.head_term, t):
-                    target = (c, t, b)
-                    break
-            if target:
+        # A step at a monomial leaves the ones above it as they were,
+        # irreducible, so each scan starts at the last one reduced.
+        for index, (c, key) in enumerate(islice(q.keyed_monomials(), start, None), start):
+            t = term_of(key)
+            target = next((h for h in heads if all(map(le, h[0], t))), None)
+            if target is not None:
                 break
-        if target is None:
+        else:
             return q
-        c, t, b = target
-        q = q - b.mul_monomial(ring.exact_div(c, b.head_coeff), term_div(t, b.head_term))
+        s, hc, b = target
+        q = q + b.mul_monomial(ring.neg(ring.exact_div(c, hc)), term_div(t, s))
+        start = index
 
 
 def s_polynomial(f, g):

@@ -116,6 +116,23 @@ def test_trace_goes_to_stderr_only():
     assert "polynomials added: 1" in traced.stderr
 
 
+def test_trace_reports_skipped_pairs_on_stderr_only():
+    args = ("gb", "--ring", "qq", "--vars", "x,y", "x^2 - y", "x*y - 1")
+    plain = invoke(*args)
+    traced = invoke(*args[:5], "--trace", *args[5:])
+    assert traced.stdout == plain.stdout == GOLDEN_FIELD
+    assert traced.stderr.splitlines() == [
+        "pairs processed: 6",
+        "pairs skipped: product 2, chain 0",
+        "pair polynomials examined: 4",
+        "polynomials added: 2",
+        "reduction steps: 2",
+        "basis size: 4",
+    ]
+    over_zz = invoke("gb", "--ring", "zz", "--vars", "x,y", "--trace", "2*x", "3*y")
+    assert "pairs skipped: product 0, chain 0\n" in over_zz.stderr
+
+
 def test_seed_does_not_change_the_reduced_basis():
     baseline = invoke("gb", "--ring", "zz", "--vars", "x,y", "2*x", "3*y")
     seeded = invoke("gb", "--ring", "zz", "--vars", "x,y", "--seed", "7", "2*x", "3*y")

@@ -156,6 +156,7 @@ class ContractGF7(CoefficientRing):
     """GF(7) written against the ring contract alone; ``_kernel_form`` is not overridden."""
 
     name = "contract-gf(7)"
+    is_field = True
 
     def element(self, value):
         if isinstance(value, Fraction):

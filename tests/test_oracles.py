@@ -1,9 +1,9 @@
 """Bases checked against oracles that share no completion code with them.
 
 The zz bases of the acceptance corpus are checked against the qq bases
-of the same generators, and random field ideals in 3 variables and
-cyclic-4 and katsura-4 against sympy's ``groebner`` when sympy is
-installed.
+of the same generators, and random field ideals in 3 variables,
+cyclic-4 and katsura-4, and cyclic-5 over gf(32003) against sympy's
+``groebner`` when sympy is installed.
 """
 
 import random
@@ -14,6 +14,7 @@ import pytest
 from ringgb import PolyRing, PrimeField, Rationals, groebner_basis, interreduce
 
 from corpus import corpus
+from families import cyclic
 
 
 def over(ring, polys):
@@ -113,4 +114,11 @@ def test_four_variable_deglex_bases_match_sympy(family, coeff_ring):
     sympy = pytest.importorskip("sympy")
     ring = PolyRing(coeff_ring, ["a", "b", "c", "d"], "deglex")
     gens = family(ring)
+    assert groebner_basis(gens) == sympy_basis(sympy, ring, gens)
+
+
+def test_cyclic5_deglex_basis_over_gf32003_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    ring = PolyRing(PrimeField(32003), [f"x{i}" for i in range(5)], "deglex")
+    gens = cyclic(ring)
     assert groebner_basis(gens) == sympy_basis(sympy, ring, gens)
