@@ -57,7 +57,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "--max-steps",
             type=_positive_int,
             default=DEFAULT_STEP_LIMIT,
-            help=f"reduction-step limit of the completion (default {DEFAULT_STEP_LIMIT})",
+            help=f"step limit of the completion; each reduction step and each queued pair "
+            f"counts as one step (default {DEFAULT_STEP_LIMIT})",
         )
 
     gb = sub.add_parser("gb", help="compute the interreduced Groebner basis")

@@ -7,21 +7,9 @@ result, enqueueing the new element's pairs immediately.  When the queue
 is empty every pair polynomial of the basis reduces to zero, which is
 the certificate that the basis is a Groebner basis; because the shipped
 rings admit canonical remainders, the result is in fact strong (normal
-forms are unique regardless of reduction strategy).
-
-Over a field (``CoefficientRing.is_field``) the gcd polynomial of a pair
-is a multiple of one of its elements and the syzygy polynomial is the
-classical S-polynomial, so only syzygy records are queued, and
-Buchberger's two criteria skip the S-polynomials whose reduction is
-known to be unnecessary, in the "pairs already treated" form
-(Buchberger, 1979; Becker & Weispfenning, *Groebner Bases*, 1993,
-chapter 5).  The product criterion skips a pair whose head terms are
-coprime.  The chain criterion skips a pair (i, j) when some other
-element k has a head dividing lcm(i, j) and neither (i, k) nor (j, k)
-is still queued: both were treated, so the S-polynomial of (i, j) has a
-representation below its lcm through theirs.  A skipped record counts
-as treated.  Over ``zz`` every gcd and syzygy record is still reduced:
-the criteria need conditions on the head coefficients there.
+forms are unique regardless of reduction strategy).  Which records are
+queued, in what order, and which ones Buchberger's criteria skip over a
+field is the pair policy of ``pairs.PairQueue``, described in ``pairs``.
 
 Every basis element carries an exact combination certificate over the
 original generators, maintained through both the pair construction and
@@ -43,11 +31,9 @@ construction, so it is not re-checked for each normal form.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from operator import add, ge
 
-from .pairs import GCD, combinations_for, pair_records, record_sort_key
+from .pairs import PairQueue, combinations_for, pair_records
 from .poly import Polynomial
 from .reduction import StepBudget, _prepare, _Reducers, _normal_form_keyed, normal_form
 
@@ -83,8 +69,9 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
     """Grow ``generators`` into a Groebner basis of the same ideal.
 
     Zero generators are dropped silently; an all-zero or empty input
-    yields an empty basis.  Raises ``StepLimitExceeded`` if the run
-    blows the ``max_steps`` reduction budget.
+    yields an empty basis.  Raises ``StepLimitExceeded`` once the run
+    takes more than ``max_steps`` steps, where each reduction step and
+    each queued pair counts as one step.
     """
     gens = tuple(generators)
     basis: list[Polynomial] = []
@@ -103,52 +90,16 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
         return CompletionTrace(gens, (), (), (), 0, 0, 0)
 
     poly_ring = basis[0].ring
-    order = poly_ring.order
     neg = poly_ring.coeff_ring.neg
     budget = StepBudget(max_steps)
     reducers = _Reducers(basis, keep_tails=True)
-    heads = reducers.heads
-    heap: list = []
-    # Over a field: the (i, j) of the syzygy records still queued, for
-    # the chain criterion; gcd records are never queued.
-    field = poly_ring.coeff_ring.is_field
-    pending: set = set()
-
-    def enqueue_pairs(j: int):
-        for record in pair_records(basis, j):
-            if field:
-                if record.kind == GCD:
-                    continue
-                pending.add((record.i, j))
-            heapq.heappush(heap, (record_sort_key(record, order), record))
-
+    queue = PairQueue(basis, budget)
     for j in range(len(basis)):
-        enqueue_pairs(j)
+        queue.add(j)
 
     added: list[Polynomial] = []
     iterations = 0
-    pairs_processed = 0
-    product = chain = 0
-    while heap:
-        _, record = heapq.heappop(heap)
-        pairs_processed += 1
-        if field:
-            i, j = record.i, record.j
-            pending.discard((i, j))
-            kl = order.heap_key(record.lcm)
-            if kl == tuple(map(add, heads[i][0], heads[j][0])):
-                product += 1  # coprime head terms: the S-polynomial reduces to zero
-                continue
-            # A head k dividing the lcm, with (i, k) and (j, k) both treated.
-            if any(
-                k != i and k != j
-                and (min(i, k), max(i, k)) not in pending
-                and (min(j, k), max(j, k)) not in pending
-                and all(map(ge, kh, kl))
-                for k, (kh, _) in enumerate(heads)
-            ):
-                chain += 1
-                continue
+    for record in queue:
         for q, ((a1, k1), (a2, k2)) in combinations_for(basis, record):
             iterations += 1
             if not q:
@@ -166,7 +117,7 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
             basis.append(result)
             reducers.append(result)
             added.append(result)
-            enqueue_pairs(len(basis) - 1)
+            queue.add(len(basis) - 1)
 
     return CompletionTrace(
         generators=gens,
@@ -174,9 +125,10 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
         added=tuple(added),
         certificates=tuple(tuple(row) for row in certs),
         iterations=iterations,
-        pairs_processed=pairs_processed,
-        reduction_steps=budget.used,
-        pairs_skipped=(product, chain),
+        pairs_processed=queue.popped,
+        # The queue charged the budget once for each record, and popped them all.
+        reduction_steps=budget.used - queue.popped,
+        pairs_skipped=(queue.product, queue.chain),
     )
 
 

@@ -65,7 +65,10 @@ class StepLimitExceeded(RuntimeError):
 
 
 class StepBudget:
-    """Counts reduction steps and raises past ``limit`` (None = unlimited)."""
+    """Counts reduction steps and raises past ``limit`` (None = unlimited).
+
+    ``complete`` also spends one step for each pair record it queues.
+    """
 
     def __init__(self, limit=None):
         self.limit = limit

@@ -11,11 +11,12 @@ GOLDEN_FIELD = "x - y^2\ny^3 - 1\n"
 GOLDEN_INT = "x*y\n2*x\n3*y\n"
 
 
-def invoke(*args):
+def invoke(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "ringgb", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -179,6 +180,16 @@ def test_max_steps_bounds_the_completion():
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == "error: exceeded the configured limit of 10 reduction steps\n"
+
+
+def test_max_steps_bounds_a_completion_that_takes_no_steps():
+    # Each pair polynomial here is an irreducible binomial, so it joins the
+    # basis without a reduction step; the queued pairs use up the limit.
+    args = ("gb", "--ring", "qq", "--vars", "x,y", "--max-steps", "1000")
+    result = invoke(*args, "x^100000*y - 1", "y^100000*x - 1", timeout=60)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: exceeded the configured limit of 1000 reduction steps\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "ten"])

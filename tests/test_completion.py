@@ -128,6 +128,14 @@ def test_step_ceiling_is_a_distinct_failure():
         complete([x**2 - y, x * y - 1], max_steps=1)
 
 
+def test_step_ceiling_counts_queued_pairs():
+    # No pair polynomial of this ideal needs a reduction step, yet the
+    # queue grows with every added binomial.
+    x, y = QQ_XY.gens()
+    with pytest.raises(StepLimitExceeded):
+        complete([x**100_000 * y - 1, y**100_000 * x - 1], max_steps=1000)
+
+
 def test_interreduce_examples():
     x, y = QQ_XY.gens()
     assert interreduce([x**2 - y, x * y - 1, x - y**2, y**3 - 1]) == [

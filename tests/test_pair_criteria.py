@@ -73,6 +73,7 @@ def test_cyclic5_work_over_a_prime_field():
     trace = complete(deglex_ideal(cyclic, GF, 5))
     assert (trace.iterations, len(trace.added), trace.reduction_steps) == (144, 53, 2_102)
     assert trace.pairs_skipped == (199, 1_310)
+    assert trace.pairs_processed == 1_653
 
 
 def test_integers_skip_nothing():

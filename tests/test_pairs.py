@@ -3,8 +3,9 @@ import random
 import pytest
 
 from ringgb.completion import is_groebner_basis
-from ringgb.pairs import GCD, SYZYGY, PairRecord, combinations_for, pair_records, record_sort_key
+from ringgb.pairs import GCD, SYZYGY, PairQueue, PairRecord, combinations_for, pair_records, record_sort_key
 from ringgb.poly import PolyRing
+from ringgb.reduction import StepBudget, StepLimitExceeded
 from ringgb.rings import Integers, PrimeField, Rationals
 from ringgb.terms import TermOrder, term_lcm
 
@@ -203,3 +204,50 @@ def test_critical_pairs_reject_zero_entries():
 def test_pair_record_is_hashable():
     assert PairRecord(0, 1, (1, 1), GCD) == PairRecord(0, 1, (1, 1), GCD)
     assert len({PairRecord(0, 1, (1, 1), GCD), PairRecord(0, 1, (1, 1), SYZYGY)}) == 2
+
+
+def drain(basis, budget):
+    """The records a ``PairQueue`` of ``basis`` yields, and the queue."""
+    queue = PairQueue(basis, budget)
+    for j in range(len(basis)):
+        queue.add(j)
+    return list(queue), queue
+
+
+def test_queue_over_the_integers_yields_every_record_in_order():
+    rng = random.Random(45)
+    for _ in range(20):
+        basis = [random_nonzero(rng, ZZ_XY) for _ in range(5)]
+        budget = StepBudget()
+        yielded, queue = drain(basis, budget)
+        assert yielded == all_records(basis)
+        assert queue.popped == budget.used == len(yielded) == 20
+        assert (queue.product, queue.chain) == (0, 0)
+
+
+@pytest.mark.parametrize("ring", [QQ_XY, GF5_XY])
+def test_queue_over_a_field_skips_gcd_records_and_counts_every_pop(ring):
+    x, y = ring.gens()
+    basis = [x**2 - y, x * y - 1, y**3 - 1, x - y**2, y**2]
+    budget = StepBudget()
+    yielded, queue = drain(basis, budget)
+    syzygies = [r for r in all_records(basis) if r.kind == SYZYGY]
+    # Only the syzygy records are queued and charged, and they are
+    # yielded in queue order with the skipped ones left out.
+    assert budget.used == len(syzygies) == 10
+    assert yielded == [r for r in syzygies if r in yielded]
+    assert queue.popped == len(yielded) + queue.product + queue.chain == 10
+    assert queue.product > 0 and queue.chain > 0
+
+
+@pytest.mark.parametrize("ring, queued", [(ZZ_XY, 12), (GF5_XY, 6)])
+def test_queue_charges_each_queued_record(ring, queued):
+    x, y = ring.gens()
+    basis = [x**2 - y, x * y - 1, y**3 - 1, x - y**2]
+    budget = StepBudget(queued)
+    drain(basis, budget)
+    assert budget.used == queued
+    budget = StepBudget(queued - 1)
+    with pytest.raises(StepLimitExceeded):
+        drain(basis, budget)
+    assert budget.used == queued
