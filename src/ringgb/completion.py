@@ -14,28 +14,30 @@ field is the pair policy of ``pairs.PairQueue``, described in ``pairs``.
 Every basis element carries an exact combination certificate over the
 original generators, maintained through both the pair construction and
 the reduction cofactors, so ideal preservation is witnessed rather than
-assumed.
+assumed.  They are the rows of the change-of-basis matrix of the
+extended Buchberger algorithm (Becker & Weispfenning, *Groebner Bases*,
+1993), each kept as its derivation, the pair's coefficients and the
+reduction's step records, and summed from earlier rows on first read.
 
 Most pair polynomials reduce to zero, so the loop builds nothing that
 only a nonzero remainder needs.  Pair polynomials come from
 ``combinations_for`` as the reduction loop's ``heap key ->
 coefficient`` accumulators and are reduced from there, under every
-strategy.  The loop only lists its steps, with k in its own form; for
-a nonzero remainder alone, ``_Reducers.records`` converts each k and
-each new certificate entry is one ``PolyRing._combine`` sum over the
-pair and the steps, sorted once (``_expand``).  Membership reduces the
-query the same way and expands the step records of a zero remainder,
-with no cofactor polynomial in between.  The basis is consistent by
-construction, so it is not re-checked for each normal form.
+strategy.  Membership reduces the query the same way and sums the step
+records of a zero remainder over the rows they reach.  The basis is
+consistent by construction, so it is not re-checked for each normal
+form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .pairs import PairQueue, combinations_for, pair_records
 from .poly import Polynomial
-from .reduction import StepBudget, _prepare, _Reducers, _normal_form_keyed, normal_form
+from .reduction import StepBudget, _fill_rows, _normal_form_keyed, _prepare, _Reducers, normal_form
+from .reduction import _row_polynomials, _row_sum, _unit_rows
 
 #: Safety valve only; termination is guaranteed by the ascending chain
 #: condition, so desk-scale inputs never come near this.
@@ -48,6 +50,9 @@ class CompletionTrace:
 
     ``certificates[m][g]`` is the cofactor of original generator ``g``
     in basis element ``m``: basis[m] = sum(certificates[m][g] * generators[g]).
+    They are summed on first read, from ``_rows``: each element's row or,
+    until read, its derivation (``reduction._fill_rows``), which takes no
+    part in ``==``, ``hash`` or ``repr``.
     ``iterations`` counts pair polynomials examined (normal forms taken),
     ``pairs_processed`` counts queue records drained, skipped ones
     included, and ``pairs_skipped`` is ``(product, chain)``: the records
@@ -58,11 +63,19 @@ class CompletionTrace:
     generators: tuple
     basis: tuple
     added: tuple
-    certificates: tuple
     iterations: int
     pairs_processed: int
     reduction_steps: int
     pairs_skipped: tuple = (0, 0)
+    _rows: list = field(default_factory=list, compare=False, repr=False)
+
+    @cached_property
+    def certificates(self) -> tuple:
+        if not self.basis:
+            return ()
+        ring = self.basis[0].ring
+        rows = _fill_rows(ring, self._rows, range(len(self.basis)))
+        return tuple(_row_polynomials(ring, row, len(self.generators)) for row in rows)
 
 
 def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> CompletionTrace:
@@ -74,25 +87,16 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
     each queued pair counts as one step.
     """
     gens = tuple(generators)
-    basis: list[Polynomial] = []
-    certs: list[list[Polynomial]] = []
-    for gi, g in enumerate(gens):
-        if g.ring != gens[0].ring:
-            raise ValueError("generators belong to different rings")
-        if not g:
-            continue
-        row = [g.ring.zero()] * len(gens)
-        row[gi] = g.ring.one()
-        basis.append(g)
-        certs.append(row)
-
+    if any(g.ring != gens[0].ring for g in gens):
+        raise ValueError("generators belong to different rings")
+    basis: list[Polynomial] = [g for g in gens if g]
     if not basis:
-        return CompletionTrace(gens, (), (), (), 0, 0, 0)
+        return CompletionTrace(gens, (), (), 0, 0, 0)
 
-    poly_ring = basis[0].ring
-    neg = poly_ring.coeff_ring.neg
     budget = StepBudget(max_steps)
     reducers = _Reducers(basis, keep_tails=True)
+    enter, neg = reducers.form.enter or (lambda c: c), reducers.form.neg
+    rows = _unit_rows(reducers.form, basis[0].ring, [gi for gi, g in enumerate(gens) if g])
     queue = PairQueue(basis, budget)
     for j in range(len(basis)):
         queue.add(j)
@@ -110,10 +114,9 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
                 continue
             # The new element is a1*s1*basis[i] + a2*s2*basis[j] minus k*s*basis[m]
             # for each step (m, k, ks); k1, k2 and every ks are the heap keys
-            # of s1, s2 and s.
-            parts = [(record.i, a1, k1), (record.j, a2, k2)]
-            parts += [(m, neg(k), ks) for m, k, ks in reducers.records(steps)]
-            certs.append(_expand(poly_ring, certs, parts, len(gens)))
+            # of s1, s2 and s.  Its row is summed from these parts when read.
+            steps = [(m, neg(k), ks) for m, k, ks in steps]
+            rows.append([(record.i, enter(a1), k1), (record.j, enter(a2), k2), *steps])
             basis.append(result)
             reducers.append(result)
             added.append(result)
@@ -123,20 +126,12 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
         generators=gens,
         basis=tuple(basis),
         added=tuple(added),
-        certificates=tuple(tuple(row) for row in certs),
         iterations=iterations,
         pairs_processed=queue.popped,
         # The queue charged the budget once for each record, and popped them all.
         reduction_steps=budget.used - queue.popped,
         pairs_skipped=(queue.product, queue.chain),
-    )
-
-
-def _expand(poly_ring, certs, parts, count) -> tuple:
-    """Entries g < count of sum(c*s*certs[m]) over ``(m, c, heap key of s)`` parts."""
-    return tuple(
-        poly_ring._from_keyed(poly_ring._combine([(certs[m][g].keyed_monomials(), c, ks) for m, c, ks in parts]))
-        for g in range(count)
+        _rows=rows,
     )
 
 
@@ -242,7 +237,8 @@ def ideal_membership(
     remainder = _normal_form_keyed(acc, reducers, strategy, None, steps)
     if remainder:
         return MembershipResult(False, None, remainder)
-    certificate = _expand(p.ring, trace.certificates, reducers.records(steps), len(trace.generators))
+    rows = _fill_rows(p.ring, trace._rows, [m for m, _, _ in steps])
+    certificate = _row_polynomials(p.ring, _row_sum(reducers.form, rows, steps), len(trace.generators))
     return MembershipResult(True, certificate, remainder)
 
 

@@ -15,12 +15,14 @@ pending term; each step subtracts k*s*tail(b) into the dict in place.
 Once the popped term has no valid step it is final and is emitted, so
 the remainder comes out in descending order without a sort.  For
 cofactors each step only appends ``(reducer, k, cofactor heap key)`` to
-a list, which its readers sum through ``PolyRing._combine``.  The loop
-computes in the ring's ``_kernel_form`` (int pairs over QQ, plain ints
-and operators over GF(p) and ZZ, with heads prepared once); emitted
-coefficients leave it at once, and each k only when a reader takes the
-records from ``_Reducers.records``, so no module but this one knows
-the form.
+a list, with k left in the ring's ``_kernel_form`` (int pairs over QQ,
+plain ints and operators over GF(p) and ZZ, with heads prepared once),
+which the loop computes in; emitted coefficients leave it at once.
+Readers sum step records into rows in that form (``_row_sum``), and
+coefficients leave it when ``_row_polynomials`` builds polynomials.
+Outside this module only ``complete`` touches the form: it stores each
+added element's derivation, the pair's coefficients and its negated
+step records, in it.
 
 The default ``FirstReducibleStrategy`` (or None) takes the first reducer
 in basis order that hits the popped term.  Any other strategy only
@@ -140,8 +142,7 @@ class _Reducers:
 
     ``ring`` is the ``PolyRing`` of the basis, by default the first
     element's; ``append`` rejects a zero element or one from another
-    ring.  ``form`` is the ``_KernelForm`` of its coefficients, and
-    ``records`` converts the loop's step records out of it.
+    ring.  ``form`` is the ``_KernelForm`` of its coefficients.
     ``keyed[i]`` holds basis element i's keyed monomials in that form,
     and ``heads[i]`` its head as ``(heap key, prepared coefficient)``.
     ``memo`` maps a heap key to
@@ -186,11 +187,6 @@ class _Reducers:
             for kt, c in acc.items():
                 acc[kt] = enter(c)
         return acc
-
-    def records(self, steps: list) -> list:
-        """``_reduce``'s step records ``(reducer, k, cofactor heap key)``, each k a ring element."""
-        leave = self.form.leave
-        return steps if leave is None else [(i, leave(k), ks) for i, k, ks in steps]
 
     def divisors(self, kt):
         """Indexes of the heads that divide heap key ``kt``, in basis order."""
@@ -338,18 +334,77 @@ def normal_form_with_cofactors(p: Polynomial, basis, strategy=None, budget=None)
     """Normal form plus cofactors: p = sum(cofactor[i]*basis[i]) + result.
 
     There is one cofactor per basis element; reducers that took no step
-    get the zero polynomial.  ``PolyRing._combine`` sums each reducer's
-    steps, adding those at one term and dropping the ones that cancel.
+    get the zero polynomial.  ``_row_sum`` sums the steps over one unit
+    row per reducer, adding those at one term and dropping the ones
+    that cancel.
     """
     acc, reducers = _prepare(p, basis)
     steps = []
     q = _normal_form_keyed(acc, reducers, strategy, budget, steps)
-    parts = [[] for _ in reducers.keyed]  # per reducer, each step's monomial k*s as it is
-    for i, k, ks in reducers.records(steps):
-        parts[i].append((((k, ks),), None, None))
-    return q, [p.ring._from_keyed(p.ring._combine(cofactor)) for cofactor in parts]
+    count = len(reducers.keyed)
+    row = _row_sum(reducers.form, _unit_rows(reducers.form, p.ring, range(count)), steps)
+    return q, list(_row_polynomials(p.ring, row, count))
 
 
 def reduces_to_zero(p: Polynomial, basis) -> bool:
     """Whether p has 0 as a normal form under the default strategy."""
     return next(_reduce(*_prepare(p, basis), None, None, None), None) is None
+
+
+# Rows.  A row is a tuple of ``(g, keyed)``, one for each g (a generator,
+# or a reducer for cofactors) with a nonzero entry, in ascending g;
+# ``keyed`` holds the entry's monomials as ``Polynomial`` keeps them,
+# with coefficients in the loop's form.
+
+
+def _unit_rows(form, ring, indexes) -> list:
+    """The row of each g in ``indexes`` whose one entry, at g, is 1."""
+    ((one, key),) = ring.one().keyed_monomials()
+    entry = ((one if form.enter is None else form.enter(one), key),)
+    return [((g, entry),) for g in indexes]
+
+
+def _row_sum(form, rows, parts) -> tuple:
+    """The row sum(c*s*rows[m]) over ``(m, c, heap key of s)`` parts, c in ``form``."""
+    mul, add, is_zero = form.mul, form.add, form.is_zero
+    sums: dict = {}  # per g, heap key -> coefficient
+    for m, c, ks in parts:
+        for g, keyed in rows[m]:
+            acc = sums.setdefault(g, {})
+            for cm, km in keyed:
+                ku = tuple(map(add_int, km, ks))
+                old = acc.get(ku)
+                acc[ku] = mul(cm, c) if old is None else add(old, mul(cm, c))
+    row = ((g, tuple((acc[k], k) for k in sorted(acc) if not is_zero(acc[k]))) for g, acc in sorted(sums.items()))
+    return tuple((g, keyed) for g, keyed in row if keyed)
+
+
+def _fill_rows(ring, rows, wanted) -> list:
+    """``rows`` with every entry that ``wanted`` reaches summed, in ascending index order.
+
+    An entry is a row or, until first read, its derivation: the list of
+    parts over earlier entries that ``_row_sum`` sums to it.  A row comes
+    out the same on every read, so concurrent readers store equal rows.
+    """
+    reached, stack = set(), list(wanted)
+    while stack:
+        m = stack.pop()
+        parts = rows[m]
+        if m not in reached and type(parts) is list:
+            reached.add(m)
+            stack += [d for d, _, _ in parts]
+    form = ring.coeff_ring._kernel_form()
+    for m in sorted(reached):
+        parts = rows[m]
+        if type(parts) is list:  # else another thread has summed it since
+            rows[m] = _row_sum(form, rows, parts)
+    return rows
+
+
+def _row_polynomials(ring, row, count) -> tuple:
+    """The ``count`` entries of ``row`` as polynomials over ``ring``, zero where it has none."""
+    leave = ring.coeff_ring._kernel_form().leave
+    polys = [ring.zero()] * count
+    for g, keyed in row:
+        polys[g] = Polynomial(ring, keyed=keyed if leave is None else tuple((leave(c), k) for c, k in keyed))
+    return tuple(polys)

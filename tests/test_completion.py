@@ -1,7 +1,10 @@
 import random
+import sys
+import threading
 
 import pytest
 
+from ringgb import cli, completion, reduction
 from ringgb.completion import (
     complete,
     groebner_basis,
@@ -17,6 +20,7 @@ from ringgb.terms import TermOrder
 import naive_poly as naive
 from corpus import corpus
 from families import katsura
+from test_kernel_forms import ContractGF7, DefaultFormZZ
 
 QQ_XY = PolyRing(Rationals(), ["x", "y"])
 ZZ_XY = PolyRing(Integers(), ["x", "y"])
@@ -100,6 +104,81 @@ def test_completion_certificates_expand_exactly():
             trace = complete(random_generators(rng, ring))
             for index in range(len(trace.basis)):
                 assert expand_certificate(trace, index) == naive.as_dict(trace.basis[index])
+
+
+def test_completion_sums_no_certificate_row_until_one_is_read(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a certificate row was summed")
+
+    R = PolyRing(Rationals(), ["u0", "u1", "u2", "u3"], "deglex")
+    gens = katsura(R)
+    entry = next(e for e in corpus() if e.ring_name == "zz" and e.trace.added)
+    argv = ["gb", "--ring", "zz", "--order", entry.poly_ring.order.kind, "--vars", "x,y"]
+    with monkeypatch.context() as patch:
+        patch.setattr(reduction, "_row_sum", refuse)
+        patch.setattr(completion, "_row_sum", refuse)
+        basis = groebner_basis(gens)
+        trace = complete(gens)
+        assert cli.main(argv + [str(g) for g in entry.generators]) == 0
+    assert capsys.readouterr().out == "".join(f"{p}\n" for p in groebner_basis(entry.generators))
+    assert basis == interreduce(trace.basis) and trace.added
+    for index in range(len(trace.basis)):
+        assert expand_certificate(trace, index) == naive.as_dict(trace.basis[index])
+
+
+@pytest.mark.parametrize(
+    "coeff_ring",
+    [Rationals(), Integers(), PrimeField(5), DefaultFormZZ(), ContractGF7()],
+    ids=lambda ring: ring.name,
+)
+def test_membership_does_not_depend_on_when_certificates_are_read(coeff_ring):
+    rng = random.Random(56)
+    for index in range(12):
+        ring = PolyRing(coeff_ring, ["x", "y"], "lex" if index % 2 else "deglex")
+        gens = random_generators(rng, ring)
+        expected = naive.combination(coeff_ring, [random_poly(rng, ring) for _ in gens], gens)
+        member = ring.from_monomials((c, t) for t, c in expected.items())
+        fresh, read = complete(gens), complete(gens)
+        assert read.certificates is read.certificates  # summed on the first read only
+        first = ideal_membership(member, gens, trace=fresh)
+        assert first == ideal_membership(member, gens, trace=read)
+        assert first.is_member
+        assert naive.combination(coeff_ring, first.certificate, gens) == expected
+        assert fresh.certificates == read.certificates
+        assert ideal_membership(member, gens, trace=fresh) == first
+        # Certificates are derived data: they take no part in ==, hash or repr.
+        assert fresh == read and hash(fresh) == hash(read) and "_rows" not in repr(fresh)
+
+
+def test_threads_reading_one_fresh_trace_agree():
+    """Threads that fill one trace's certificate rows at once all read the rows of a lone reader."""
+    R = PolyRing(Rationals(), ["u0", "u1", "u2", "u3"], "deglex")
+    gens = katsura(R)
+    u = R.gens()
+    members = [g * u[i] ** 2 - gens[0] * u[3 - i] for i, g in enumerate(gens)]
+    reference = complete(gens)
+    expected = [ideal_membership(m, gens, trace=reference) for m in members], reference.certificates
+    count = 6
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            shared, results, start = complete(gens), [], threading.Barrier(count)
+
+            def read(offset):
+                start.wait(timeout=60)
+                answers = {m: ideal_membership(m, gens, trace=shared) for m in members[offset:] + members[:offset]}
+                results.append(([answers[m] for m in members], shared.certificates))
+
+            threads = [threading.Thread(target=read, args=(n % len(members),)) for n in range(count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(results) == count and all(result == expected for result in results)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_generators_reduce_to_zero_by_final_basis():

@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringgb.rings import (
     Integers,
@@ -79,6 +80,43 @@ def test_ring_axioms_small_ranges():
     # acceptance re-runs these at the full pinned ranges
     axiom_checks.run_all_int(12)
     axiom_checks.run_all_field(5)
+
+
+huge = st.integers(-(2**256), 2**256)
+LARGE_VALUES = {
+    "zz": (ZZ, huge),
+    "qq": (QQ, st.builds(Fraction, huge, huge.filter(bool))),
+    "gf(2^61-1)": (PrimeField(2**61 - 1), huge),
+}
+
+
+def check_axioms(add, mul, neg, is_zero, zero, one, a, b, c):
+    assert add(a, b) == add(b, a)
+    assert mul(a, b) == mul(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, zero) == a and mul(a, one) == a
+    assert is_zero(add(a, neg(a))) and neg(neg(a)) == a
+    assert is_zero(neg(zero))
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_VALUES))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_ring_axioms_on_large_values(name, data):
+    """The axioms hold for operands up to about 2^256, in the ring and in its reduction-loop form."""
+    ring, values = LARGE_VALUES[name]
+    a, b, c = (ring.element(data.draw(values)) for _ in range(3))
+    check_axioms(ring.add, ring.mul, ring.neg, ring.is_zero, ring.zero(), ring.one(), a, b, c)
+    form = ring._kernel_form()
+    enter = form.enter or (lambda v: v)
+    leave = form.leave or (lambda v: v)
+    x, y, z = enter(a), enter(b), enter(c)
+    check_axioms(form.add, form.mul, form.neg, form.is_zero, enter(ring.zero()), enter(ring.one()), x, y, z)
+    assert leave(form.add(x, y)) == ring.add(a, b)
+    assert leave(form.mul(x, y)) == ring.mul(a, b)
+    assert leave(form.neg(x)) == ring.neg(a)
 
 
 def test_xgcd_identity():
