@@ -22,11 +22,13 @@ reduction's step records, and summed from earlier rows on first read.
 Most pair polynomials reduce to zero, so the loop builds nothing that
 only a nonzero remainder needs.  Pair polynomials come from
 ``combinations_for`` as the reduction loop's ``heap key ->
-coefficient`` accumulators and are reduced from there, under every
-strategy.  Membership reduces the query the same way and sums the step
-records of a zero remainder over the rows they reach.  The basis is
-consistent by construction, so it is not re-checked for each normal
-form.
+coefficient`` accumulators, in its coefficient form, and are reduced
+from there, under every strategy.  ``combinations_for`` sums them from
+the shifted tails in the completion's one ``reduction._Reducers``, the
+memo that its reduction steps read too.  Membership reduces the query
+the same way and sums the step records of a zero remainder over the
+rows they reach.  The basis is consistent by construction, so it is
+not re-checked for each normal form.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
     added: list[Polynomial] = []
     iterations = 0
     for record in queue:
-        for q, ((a1, k1), (a2, k2)) in combinations_for(basis, record):
+        for q, ((a1, k1), (a2, k2)) in combinations_for(basis, record, reducers):
             iterations += 1
             if not q:
                 continue
@@ -190,7 +192,7 @@ def is_groebner_basis(basis) -> bool:
     reducers = _Reducers(basis, keep_tails=True)
     for j in range(len(basis)):
         for record in pair_records(basis, j):
-            for q, _ in combinations_for(basis, record):
+            for q, _ in combinations_for(basis, record, reducers):
                 if q and _normal_form_keyed(q, reducers, None, None, None):
                     return False
     return True

@@ -31,20 +31,22 @@ coefficients.  Each queued record costs one unit of the completion's
 still grows the queue quadratically in the basis size, and the limit
 bounds that growth too.
 
-A pair polynomial a1*s1*p1 + a2*s2*p2 is accumulated by
-``PolyRing._combine`` from the stored ``keyed_monomials`` of the two
-basis elements, and left as that ``heap key -> coefficient`` dict: it
-is the reduction kernel's input (see ``reduction``), so no
-``Polynomial`` is built or sorted for the many pair polynomials that
-reduce to zero.
+A pair polynomial a1*s1*p1 + a2*s2*p2 at lcm l is summed from the two
+shifted tails that the reduction steps of p1 and p2 at l would subtract,
+read from the completion's ``reduction._Reducers``, plus its coefficient
+at l when that is nonzero.  It is summed in the reduction loop's
+coefficient form and left as a ``heap key -> coefficient`` dict: that
+is the kernel's input (see ``reduction``), so no ``Polynomial`` is built
+or sorted for the many pair polynomials that reduce to zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from operator import add, ge, sub
+from operator import add, ge
 
+from .reduction import _Reducers
 from .terms import term_lcm
 
 GCD = "gcd"
@@ -72,34 +74,59 @@ def pair_records(basis, j: int):
         yield PairRecord(i, j, t, SYZYGY)
 
 
-def combinations_for(basis, record: PairRecord):
+def combinations_for(basis, record: PairRecord, reducers=None):
     """The pair polynomials of ``record`` with their combination data.
 
     Returns ``(q, ((a1, k1), (a2, k2)))`` pairs with
     ``q = a1*s1*basis[i] + a2*s2*basis[j]``, where k1 and k2 are the
     heap keys of s1 and s2: the lcm's key minus each head's, as heap
-    keys are additive.  q is a ``heap key -> coefficient`` dict without
-    zero coefficients, as ``PolyRing._combine`` returns it, so ``not q``
-    exactly when the combination cancels.  For ``GCD`` the rows of the
-    head coefficients' ``groebner`` basis give one q per generator g,
-    with head monomial g*lcm; for ``SYZYGY`` the rows of their
-    ``syzygies`` give q whose coefficient at the lcm is exactly zero.
+    keys are additive.  ``reducers`` is the ``reduction._Reducers`` of
+    ``basis`` (by default a new one).  q is a ``heap key -> coefficient``
+    dict in its ``form``, without zero coefficients, so ``not q`` exactly
+    when the combination cancels; a1 and a2 are ring elements.  For
+    ``GCD`` the rows of the head coefficients' ``groebner`` basis give
+    one q per generator g, with head monomial g*lcm; for ``SYZYGY`` the
+    rows of their ``syzygies`` give q whose coefficient at the lcm is
+    exactly zero.
     """
-    p1, p2 = basis[record.i], basis[record.j]
-    poly_ring = p1.ring
-    m1, m2 = p1.keyed_monomials(), p2.keyed_monomials()
-    kl = poly_ring.order.heap_key(record.lcm)
-    k1 = tuple(map(sub, kl, m1[0][1]))
-    k2 = tuple(map(sub, kl, m2[0][1]))
-    ring = poly_ring.coeff_ring
-    if record.kind == GCD:
+    if reducers is None:
+        reducers = _Reducers(basis)
+    i, j = record.i, record.j
+    p1, p2 = basis[i], basis[j]
+    kl = p1.ring.order.heap_key(record.lcm)
+    ring = p1.ring.coeff_ring
+    gcd = record.kind == GCD
+    if gcd:
         rows = ring.groebner([p1.head_coeff, p2.head_coeff])[1]
     else:
         rows = ring.syzygies(p1.head_coeff, p2.head_coeff)
-    return [
-        (poly_ring._combine([(m1, a1, k1), (m2, a2, k2)]), ((a1, k1), (a2, k2)))
-        for a1, a2 in rows
-    ]
+    # s1*basis[i] and s2*basis[j] are the steps of i and j at the lcm.
+    # Only a gcd record keeps them: over zz its syzygy record comes next
+    # and reads them, and over a field no gcd record is queued.
+    k1, tail1 = reducers.shifted(i, kl, gcd)
+    k2, tail2 = reducers.shifted(j, kl, gcd)
+    form = reducers.form
+    add, mul, is_zero, enter = form.add, form.mul, form.is_zero, form.enter
+    h1, h2 = reducers.keyed[i][0][0], reducers.keyed[j][0][0]
+    out = []
+    for a1, a2 in rows:
+        c1, c2 = (a1, a2) if enter is None else (enter(a1), enter(a2))
+        q = {} if is_zero(c1) else {ku: mul(cb, c1) for cb, ku in tail1}
+        if not is_zero(c2):
+            for cb, ku in tail2:
+                x = mul(cb, c2)
+                old = q.get(ku)
+                if old is not None:
+                    x = add(old, x)
+                    if is_zero(x):
+                        del q[ku]
+                        continue
+                q[ku] = x
+        head = add(mul(h1, c1), mul(h2, c2))
+        if not is_zero(head):
+            q[kl] = head
+        out.append((q, ((a1, k1), (a2, k2))))
+    return out
 
 
 def record_sort_key(record: PairRecord, order):

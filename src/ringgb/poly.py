@@ -8,11 +8,12 @@ zero polynomial has no monomials.
 
 A ``Polynomial`` stores one form, its keyed monomials: (coefficient,
 heap key) pairs with the keys of ``TermOrder.heap_key`` ascending.
-Terms are derived from the keys only where they are read.  Every sum of
-monomial multiples outside the reduction loop, from ``from_monomials``
-and the operators to pair polynomials and certificates, is accumulated
-by ``PolyRing._combine`` in one ``heap key -> coefficient`` dict, which
-``PolyRing._from_keyed`` sorts once.
+Terms are derived from the keys only where they are read.  The sums of
+monomial multiples that build polynomials, ``from_monomials`` and the
+operators, are accumulated by ``PolyRing._combine`` in one ``heap key
+-> coefficient`` dict, which ``PolyRing._from_keyed`` sorts once.  Pair
+polynomials and certificates are summed in the reduction loop's
+coefficient form instead (see ``pairs`` and ``reduction``).
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ class Polynomial:
         """The stored form: ``monomials`` with each term as its order's heap key.
 
         Keys ascend as terms descend.  ``PolyRing._combine`` accumulates
-        every sum in this form and the reduction loop reads it.
+        sums in this form and the reduction loop reads it.
         """
         return self._keyed
 

@@ -20,9 +20,10 @@ plain ints and operators over GF(p) and ZZ, with heads prepared once),
 which the loop computes in; emitted coefficients leave it at once.
 Readers sum step records into rows in that form (``_row_sum``), and
 coefficients leave it when ``_row_polynomials`` builds polynomials.
-Outside this module only ``complete`` touches the form: it stores each
-added element's derivation, the pair's coefficients and its negated
-step records, in it.
+Outside this module two callers touch the form: ``combinations_for``
+sums pair polynomials in it, and ``complete`` stores each added
+element's derivation, the pair's coefficients and its negated step
+records, in it.  Public inputs enter it once, in ``_prepare``.
 
 The default ``FirstReducibleStrategy`` (or None) takes the first reducer
 in basis order that hits the popped term.  Any other strategy only
@@ -43,9 +44,11 @@ appends each new element, so a term met again in a later pair
 polynomial tests only the heads added since; ``is_groebner_basis``
 keeps one for its pair walk, and each public call builds its own.
 These two long-lived indexes also keep each step's shifted tail: per
-reducer and cofactor heap key, the reducer's tail with every key
-already shifted, so that a step met again (most of a completion's
-steps are) adds no key tuples.  A public call seldom repeats a step and
+reducer and target heap key, the cofactor's heap key and the reducer's
+tail with every key already shifted, so that a step met again (most of
+a completion's steps are) is one lookup and adds no key tuples.  A pair
+(i, j) at lcm l reads the same entries, as s1*basis[i] and s2*basis[j]
+are the steps of i and j at l.  A public call seldom repeats a step and
 builds each shifted tail anew.  Within one reduction, ``_steps`` also
 keeps each pending term's candidate steps until a step changes that
 term's coefficient.
@@ -128,8 +131,12 @@ class SeededRandomStrategy:
 
 
 def _prepare(p: Polynomial, basis):
-    """p as ``_reduce`` takes it and the ``_Reducers`` of ``basis``, read once and checked."""
-    return {k: c for c, k in p.keyed_monomials()}, _Reducers(basis, p.ring)
+    """p as ``_reduce`` takes it, in the loop's form, and the ``_Reducers`` of ``basis``, checked."""
+    reducers = _Reducers(basis, p.ring)
+    enter = reducers.form.enter
+    if enter is None:
+        return {k: c for c, k in p.keyed_monomials()}, reducers
+    return {k: enter(c) for c, k in p.keyed_monomials()}, reducers
 
 
 # The memo entry of a term never seen.  Its list is shared, so it is
@@ -151,11 +158,13 @@ class _Reducers:
     ``append``, so an entry older than the basis is extended by testing
     the new heads alone.
 
-    With ``keep_tails``, ``tails`` maps ``(i, ks)``, a reducer and the
-    heap key of a cofactor term, to element i's tail multiplied by that
-    term: ``[(c, kb + ks), ...]``, coefficients in the loop's form.
-    Basis elements never change, so an entry never goes stale.
-    Otherwise ``tails`` is None and each step builds its shifted tail anew.
+    With ``keep_tails``, ``tails`` maps ``(i, kt)``, a reducer and the
+    heap key of a term its head divides, to ``shifted(i, kt)``: the heap
+    key ks of the cofactor term and element i's tail multiplied by it,
+    ``(ks, [(c, kb + ks), ...])``, coefficients in the loop's form.  A
+    step of reducer i at kt and a pair of i at lcm kt read the same
+    entry.  Basis elements never change, so an entry never goes stale.
+    Otherwise ``tails`` is None and each read builds its entry anew.
     """
 
     def __init__(self, basis, ring=None, *, keep_tails=False):
@@ -180,13 +189,24 @@ class _Reducers:
         self.keyed.append(keyed)
         self.heads.append((keyed[0][1], self.form.prepare(keyed[0][0])))
 
-    def entered(self, acc: dict) -> dict:
-        """``acc``, a ``heap key -> ring element`` dict, converted in place to the loop's form."""
-        enter = self.form.enter
-        if enter is not None:
-            for kt, c in acc.items():
-                acc[kt] = enter(c)
-        return acc
+    def shifted(self, i, kt, keep=True):
+        """``(ks, tail)`` of reducer i at heap key ``kt``, which its head divides.
+
+        ``ks`` is the heap key of the cofactor term s that moves the head
+        to ``kt``, and ``tail`` is element i's tail times s.  An entry
+        kept in ``tails`` is returned as it is; a new one is stored there
+        when ``keep`` is true and the index keeps tails.
+        """
+        tails = self.tails
+        if tails is not None:
+            entry = tails.get((i, kt))
+            if entry is not None:
+                return entry
+        ks = tuple(map(sub, kt, self.heads[i][0]))
+        entry = ks, [(cb, tuple(map(add_int, kb, ks))) for cb, kb in islice(self.keyed[i], 1, None)]
+        if keep and tails is not None:
+            tails[i, kt] = entry
+        return entry
 
     def divisors(self, kt):
         """Indexes of the heads that divide heap key ``kt``, in basis order."""
@@ -236,33 +256,32 @@ def iter_reduction_steps(p: Polynomial, basis):
 
     Raises ``ValueError`` for a zero basis entry or one from another ring.
     """
-    acc, reducers = _prepare(p, basis)
-    return _steps(reducers.entered(acc), reducers, {})
+    return _steps(*_prepare(p, basis), {})
 
 
 def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
     """Yield the normal form as ``(coefficient, heap key)`` pairs, highest term first.
 
     ``acc`` holds the polynomial to reduce as ``heap key -> coefficient``
-    (zero entries allowed) and is consumed.  Unless ``steps`` is None,
-    each step appends ``(reducer, k, heap key of the cofactor term)`` to
-    it and nothing is summed: a reducer and term may recur, and k stays
-    in ``reducers.form``.  The loop computes in that form; emitted
-    coefficients are ring elements.  A step reads its shifted tail from
-    ``reducers.tails`` when the index keeps them, and adds it there the
-    first time.
+    with coefficients in ``reducers.form`` (zero entries allowed), as
+    ``_prepare`` and ``combinations_for`` build it, and is consumed.
+    Unless ``steps`` is None, each step appends ``(reducer, k, heap key
+    of the cofactor term)`` to it and nothing is summed: a reducer and
+    term may recur, and k stays in the form.  Emitted coefficients are
+    ring elements.  A step of reducer i at target kt reads its shifted
+    tail from ``reducers.tails`` when the index keeps them, and adds it
+    there the first time.
     """
     key_of = reducers.ring.order.heap_key
     form = reducers.form
     add, mul, neg, is_zero, step, enter, leave = (
         form.add, form.mul, form.neg, form.is_zero, form.step, form.enter, form.leave
     )
-    reducers.entered(acc)
     # Subclasses may override ``select``, so only the class itself runs the default rule.
     default = strategy is None or type(strategy) is FirstReducibleStrategy
     select = None if default else strategy.select
     known = {}  # the candidate steps of pending terms, for ``_steps``
-    keyed, heads, divisors_of, tails = reducers.keyed, reducers.heads, reducers.divisors, reducers.tails
+    heads, divisors_of, shifted = reducers.heads, reducers.divisors, reducers.shifted
     # A coefficient that cancels stays in ``acc`` as a zero entry, so
     # that its key is never pushed twice.
     heap = list(acc)
@@ -282,7 +301,7 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
                 break
             if select is None:
                 k, c = hit
-                ks = tuple(map(sub, kt, heads[i][0]))
+                target = kt
             else:
                 # The chosen step may target a lower pending term: it
                 # rewrites that term's coefficient and leaves c as it is.
@@ -293,17 +312,13 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
                 i, k, d = chosen.reducer, chosen.coefficient, chosen.remainder
                 if enter is not None:
                     k, d = enter(k), enter(d)
-                acc[key_of(chosen.term)] = d
-                ks = key_of(chosen.cofactor_term)
+                target = key_of(chosen.term)
+                acc[target] = d
                 c = acc.pop(kt)
             if budget is not None:
                 budget.spend()
             minus_k = neg(k)
-            tail = None if tails is None else tails.get((i, ks))
-            if tail is None:
-                tail = [(cb, tuple(map(add_int, kb, ks))) for cb, kb in islice(keyed[i], 1, None)]
-                if tails is not None:
-                    tails[i, ks] = tail
+            ks, tail = shifted(i, target)
             for cb, ku in tail:
                 x = mul(cb, minus_k)
                 old = acc.get(ku)

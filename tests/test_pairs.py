@@ -5,7 +5,7 @@ import pytest
 from ringgb.completion import is_groebner_basis
 from ringgb.pairs import GCD, SYZYGY, PairQueue, PairRecord, combinations_for, pair_records, record_sort_key
 from ringgb.poly import PolyRing
-from ringgb.reduction import StepBudget, StepLimitExceeded
+from ringgb.reduction import StepBudget, StepLimitExceeded, _normal_form_keyed, _Reducers
 from ringgb.rings import Integers, PrimeField, Rationals
 from ringgb.terms import TermOrder, term_lcm
 
@@ -37,18 +37,26 @@ def random_nonzero(rng, ring, max_exp=2, bound=4):
 
 
 def combinations(p1, p2, kind):
-    """combinations_for on the (0, 1) record of ``kind`` of the basis [p1, p2].
-
-    Each heap-key accumulator is turned into a ``Polynomial`` through the
-    public constructor, after checking that it holds no zero coefficient.
-    """
+    """combinations_for on the (0, 1) record of ``kind`` of the basis [p1, p2]."""
     basis = [p1, p2]
     (record,) = [r for r in pair_records(basis, 1) if r.kind == kind]
-    R = p1.ring
+    return pair_polynomials(basis, record, _Reducers(basis))
+
+
+def pair_polynomials(basis, record, reducers):
+    """combinations_for on ``record``, each q turned into a ``Polynomial``.
+
+    Each heap-key accumulator holds coefficients in the ring's kernel
+    form.  It is checked to hold no zero coefficient and then converted
+    through the public constructor.
+    """
+    R = basis[0].ring
+    form = R.coeff_ring._kernel_form()
+    leave = form.leave or (lambda c: c)
     out = []
-    for acc, combo in combinations_for(basis, record):
-        assert not any(R.coeff_ring.is_zero(c) for c in acc.values())
-        q = R.from_monomials((c, R.order.term_from_heap_key(k)) for k, c in acc.items())
+    for acc, combo in combinations_for(basis, record, reducers):
+        assert not any(form.is_zero(c) for c in acc.values())
+        q = R.from_monomials((leave(c), R.order.term_from_heap_key(k)) for k, c in acc.items())
         out.append((q, combo))
     return out
 
@@ -100,18 +108,90 @@ def test_syzygy_polynomial_int_constants_survive():
     assert syzygy_polynomials(2 * x + 1, 3 * x + 1) == [ZZ_XY.one()]
 
 
+def shared_memo_combinations(rng, ring):
+    """Every record of a random 3-4 element basis, in queue order, through one memo-keeping index.
+
+    Pair polynomials then read the shifted tails that earlier records
+    stored, as in ``complete``.
+    """
+    basis = [random_nonzero(rng, ring) for _ in range(rng.randint(3, 4))]
+    reducers = _Reducers(basis, keep_tails=True)
+    return [
+        (basis[r.i], basis[r.j], combo)
+        for r in all_records(basis)
+        for combo in pair_polynomials(basis, r, reducers)
+    ]
+
+
 @pytest.mark.parametrize("ring", COMBINATION_RINGS)
 def test_pair_polynomials_are_exact_combinations(ring):
-    rng = random.Random(41)
+    rng, memo_rng = random.Random(41), random.Random(46)
     for _ in range(80):
         p1, p2 = random_nonzero(rng, ring), random_nonzero(rng, ring)
-        for combos in (combinations(p1, p2, GCD), combinations(p1, p2, SYZYGY)):
-            for q, ((a1, k1), (a2, k2)) in combos:
+        for combos in (
+            [(p1, p2, combo) for combo in combinations(p1, p2, GCD)],
+            [(p1, p2, combo) for combo in combinations(p1, p2, SYZYGY)],
+            shared_memo_combinations(memo_rng, ring),
+        ):
+            for p, r, (q, ((a1, k1), (a2, k2))) in combos:
                 s1, s2 = map(ring.order.term_from_heap_key, (k1, k2))
                 # a deglex key's degree slot is dropped by term_from_heap_key
                 assert (k1, k2) == (ring.order.heap_key(s1), ring.order.heap_key(s2))
-                lhs = ring.monomial(a1, s1) * p1 + ring.monomial(a2, s2) * p2
+                lhs = ring.monomial(a1, s1) * p + ring.monomial(a2, s2) * r
                 assert lhs == q
+
+
+def recording_shifted(reducers):
+    """Make ``reducers.shifted`` record each ``(i, kt, entry)`` it returns."""
+    calls = []
+    shifted = reducers.shifted
+
+    def record(i, kt, keep=True):
+        entry = shifted(i, kt, keep)
+        calls.append((i, kt, entry))
+        return entry
+
+    reducers.shifted = record
+    return calls
+
+
+def test_syzygy_record_and_later_steps_read_the_tails_its_gcd_record_stored():
+    x, y = ZZ_XY.gens()
+    basis = [2 * x**2 + y + 1, 3 * x * y - x]
+    reducers = _Reducers(basis, keep_tails=True)
+    calls = recording_shifted(reducers)
+    gcd, syzygy = pair_records(basis, 1)
+    kl = ZZ_XY.order.heap_key(gcd.lcm)
+    combinations_for(basis, gcd, reducers)
+    stored = dict(reducers.tails)
+    assert set(stored) == {(0, kl), (1, kl)}
+    del calls[:]
+    combinations_for(basis, syzygy, reducers)
+    assert [(i, kt) for i, kt, _ in calls] == [(0, kl), (1, kl)]
+    assert all(entry is stored[i, kt] for i, kt, entry in calls)
+    assert reducers.tails == stored
+    # The default rule's first step at the lcm is reducer 0's, and it reads
+    # the same entry.
+    del calls[:]
+    steps = []
+    _normal_form_keyed({kl: 2}, reducers, None, None, steps)
+    assert steps[0] == (0, 1, stored[0, kl][0])
+    assert calls[0][:2] == (0, kl) and calls[0][2] is stored[0, kl]
+    assert reducers.tails[0, kl] is stored[0, kl]
+
+
+def test_syzygy_record_over_a_field_stores_no_tail():
+    x, y = GF5_XY.gens()
+    basis = [x**2 - y, x * y - 1, y**3 - 1]
+    reducers = _Reducers(basis, keep_tails=True)
+    _normal_form_keyed({GF5_XY.order.heap_key((3, 1)): 1}, reducers, None, None, None)
+    before = dict(reducers.tails)
+    assert before
+    for record in all_records(basis):
+        if record.kind == SYZYGY:
+            combinations_for(basis, record, reducers)
+    assert reducers.tails == before
+    assert all(reducers.tails[key] is entry for key, entry in before.items())
 
 
 @pytest.mark.parametrize("ring", [QQ_XY, ZZ_XY, GF5_XY])
