@@ -99,11 +99,11 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
     reducers = _Reducers(basis, keep_tails=True)
     enter, neg = reducers.form.enter or (lambda c: c), reducers.form.neg
     rows = _unit_rows(reducers.form, basis[0].ring, [gi for gi, g in enumerate(gens) if g])
-    queue = PairQueue(basis, budget)
-    for j in range(len(basis)):
+    start = len(basis)
+    queue = PairQueue(basis, reducers, budget)
+    for j in range(start):
         queue.add(j)
 
-    added: list[Polynomial] = []
     iterations = 0
     for record in queue:
         for q, ((a1, k1), (a2, k2)) in combinations_for(basis, record, reducers):
@@ -121,13 +121,12 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
             rows.append([(record.i, enter(a1), k1), (record.j, enter(a2), k2), *steps])
             basis.append(result)
             reducers.append(result)
-            added.append(result)
             queue.add(len(basis) - 1)
 
     return CompletionTrace(
         generators=gens,
         basis=tuple(basis),
-        added=tuple(added),
+        added=tuple(basis[start:]),
         iterations=iterations,
         pairs_processed=queue.popped,
         # The queue charged the budget once for each record, and popped them all.

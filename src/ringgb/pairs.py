@@ -25,11 +25,13 @@ coprime.  The chain criterion skips a pair (i, j) when some other
 element k has a head dividing lcm(i, j) and neither (i, k) nor (j, k)
 is still queued: both were treated, so the S-polynomial of (i, j) has a
 representation below its lcm through theirs.  A skipped record counts
-as treated.  Over ``zz`` the criteria would need conditions on the head
-coefficients.  Each queued record costs one unit of the completion's
-``StepBudget``: an input whose pair polynomials need no reduction step
-still grows the queue quadratically in the basis size, and the limit
-bounds that growth too.
+as treated.  The criteria read the heads of the completion's
+``reduction._Reducers``, and the chain criterion asks its divisor index
+which of them divide the lcm.  Over ``zz`` the criteria would need
+conditions on the head coefficients.  Each queued record costs one unit
+of the completion's ``StepBudget``: an input whose pair polynomials need
+no reduction step still grows the queue quadratically in the basis
+size, and the limit bounds that growth too.
 
 A pair polynomial a1*s1*p1 + a2*s2*p2 at lcm l is summed from the two
 shifted tails that the reduction steps of p1 and p2 at l would subtract,
@@ -44,9 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from operator import add, ge
+from operator import add
 
-from .reduction import _Reducers
 from .terms import term_lcm
 
 GCD = "gcd"
@@ -74,23 +75,20 @@ def pair_records(basis, j: int):
         yield PairRecord(i, j, t, SYZYGY)
 
 
-def combinations_for(basis, record: PairRecord, reducers=None):
+def combinations_for(basis, record: PairRecord, reducers):
     """The pair polynomials of ``record`` with their combination data.
 
     Returns ``(q, ((a1, k1), (a2, k2)))`` pairs with
     ``q = a1*s1*basis[i] + a2*s2*basis[j]``, where k1 and k2 are the
     heap keys of s1 and s2: the lcm's key minus each head's, as heap
     keys are additive.  ``reducers`` is the ``reduction._Reducers`` of
-    ``basis`` (by default a new one).  q is a ``heap key -> coefficient``
-    dict in its ``form``, without zero coefficients, so ``not q`` exactly
-    when the combination cancels; a1 and a2 are ring elements.  For
-    ``GCD`` the rows of the head coefficients' ``groebner`` basis give
-    one q per generator g, with head monomial g*lcm; for ``SYZYGY`` the
-    rows of their ``syzygies`` give q whose coefficient at the lcm is
-    exactly zero.
+    ``basis``.  q is a ``heap key -> coefficient`` dict in its ``form``,
+    without zero coefficients, so ``not q`` exactly when the combination
+    cancels; a1 and a2 are ring elements.  For ``GCD`` the rows of the
+    head coefficients' ``groebner`` basis give one q per generator g,
+    with head monomial g*lcm; for ``SYZYGY`` the rows of their
+    ``syzygies`` give q whose coefficient at the lcm is exactly zero.
     """
-    if reducers is None:
-        reducers = _Reducers(basis)
     i, j = record.i, record.j
     p1, p2 = basis[i], basis[j]
     kl = p1.ring.order.heap_key(record.lcm)
@@ -137,26 +135,27 @@ def record_sort_key(record: PairRecord, order):
 class PairQueue:
     """The records ``complete`` has still to treat, under the policy above.
 
-    ``add(j)`` queues the records of the next basis element j with every
-    earlier one, charging ``budget`` one unit per queued record.
+    The criteria read ``reducers.heads`` and ``reducers.divisors`` of the
+    completion's ``reduction._Reducers``.  ``add(j)`` queues the records
+    of the next basis element j, already appended to ``reducers``, with
+    every earlier one, charging ``budget`` one unit per queued record.
     Iterating pops the records in ``record_sort_key`` order and yields
     those that no criterion skips; the basis may grow meanwhile.
     ``popped`` counts every popped record, and ``product`` and ``chain``
     the popped records each criterion skipped.
     """
 
-    def __init__(self, basis, budget):
+    def __init__(self, basis, reducers, budget):
         self.basis = basis
+        self.reducers = reducers
         self.budget = budget
-        self.order = basis[0].ring.order
-        self.field = basis[0].ring.coeff_ring.is_field
-        self.heads = []  # the head heap key of each element added so far
+        self.order = reducers.ring.order
+        self.field = reducers.ring.coeff_ring.is_field
         self.heap = []
         self.pending = set()  # over a field: the (i, j) of the records still queued
         self.popped = self.product = self.chain = 0
 
     def add(self, j: int):
-        self.heads.append(self.basis[j].keyed_monomials()[0][1])
         for record in pair_records(self.basis, j):
             if self.field:
                 if record.kind == GCD:
@@ -166,7 +165,7 @@ class PairQueue:
             heappush(self.heap, (record_sort_key(record, self.order), record))
 
     def __iter__(self):
-        heap, heads, pending = self.heap, self.heads, self.pending
+        heap, pending, reducers = self.heap, self.pending, self.reducers
         while heap:
             _, record = heappop(heap)
             self.popped += 1
@@ -174,7 +173,7 @@ class PairQueue:
                 i, j = record.i, record.j
                 pending.discard((i, j))
                 kl = self.order.heap_key(record.lcm)
-                if kl == tuple(map(add, heads[i], heads[j])):
+                if kl == tuple(map(add, reducers.heads[i][0], reducers.heads[j][0])):
                     self.product += 1  # coprime head terms: the S-polynomial reduces to zero
                     continue
                 # A head k dividing the lcm, with (i, k) and (j, k) both treated.
@@ -182,8 +181,7 @@ class PairQueue:
                     k != i and k != j
                     and (min(i, k), max(i, k)) not in pending
                     and (min(j, k), max(j, k)) not in pending
-                    and all(map(ge, kh, kl))
-                    for k, kh in enumerate(heads)
+                    for k in reducers.divisors(kl)
                 ):
                     self.chain += 1
                     continue

@@ -1,4 +1,6 @@
 import random
+from heapq import heappop, heappush
+from operator import add, le
 
 import pytest
 
@@ -288,7 +290,7 @@ def test_pair_record_is_hashable():
 
 def drain(basis, budget):
     """The records a ``PairQueue`` of ``basis`` yields, and the queue."""
-    queue = PairQueue(basis, budget)
+    queue = PairQueue(basis, _Reducers(basis), budget)
     for j in range(len(basis)):
         queue.add(j)
     return list(queue), queue
@@ -331,3 +333,94 @@ def test_queue_charges_each_queued_record(ring, queued):
     with pytest.raises(StepLimitExceeded):
         drain(basis, budget)
     assert budget.used == queued
+
+
+class ScanningQueue:
+    """The field criteria as a reference: each popped record tests every head against its lcm.
+
+    Same interface as ``PairQueue`` over a field, on head terms rather
+    than heap keys and with no divisor index.
+    """
+
+    def __init__(self, basis):
+        self.basis = basis
+        self.heads = []
+        self.heap = []
+        self.pending = set()
+        self.popped = self.product = self.chain = 0
+
+    def add(self, j):
+        self.heads.append(self.basis[j].head_term)
+        order = self.basis[0].ring.order
+        for record in pair_records(self.basis, j):
+            if record.kind == SYZYGY:
+                self.pending.add((record.i, j))
+                heappush(self.heap, (record_sort_key(record, order), record))
+
+    def __iter__(self):
+        heads, pending = self.heads, self.pending
+        while self.heap:
+            _, record = heappop(self.heap)
+            self.popped += 1
+            i, j = record.i, record.j
+            pending.discard((i, j))
+            if record.lcm == tuple(map(add, heads[i], heads[j])):
+                self.product += 1
+                continue
+            if any(
+                k not in (i, j)
+                and (min(i, k), max(i, k)) not in pending
+                and (min(j, k), max(j, k)) not in pending
+                and all(map(le, head, record.lcm))
+                for k, head in enumerate(heads)
+            ):
+                self.chain += 1
+                continue
+            yield record
+
+
+def drain_growing(queue, basis, extra, reducers=None):
+    """Drain ``queue``, appending the next of ``extra`` after every second yielded record.
+
+    Each new element goes to ``basis``, then to ``reducers`` (when
+    given) and then to the queue, between pops, as in ``complete``.
+    """
+    for j in range(len(basis)):
+        queue.add(j)
+    extra = list(extra)
+    yielded = []
+    for record in queue:
+        yielded.append(record)
+        if extra and len(yielded) % 2 == 0:
+            basis.append(extra.pop(0))
+            if reducers is not None:
+                reducers.append(basis[-1])
+            queue.add(len(basis) - 1)
+    return yielded, (queue.popped, queue.product, queue.chain)
+
+
+@pytest.mark.parametrize("coeff_ring", [PrimeField(5), Rationals()])
+def test_queue_criteria_match_a_scan_of_every_head_on_a_growing_basis(coeff_ring):
+    # The queue asks the divisor index for the heads dividing each popped
+    # lcm, and later appends must extend the entries those lookups made.
+    ring = PolyRing(coeff_ring, ["x", "y", "z"], "deglex")
+    rng = random.Random(47)
+    totals = [0, 0, 0]
+    for _ in range(40):
+        polys = []
+        while len(polys) < 8:
+            p = ring.from_monomials(
+                (rng.randint(-2, 2), tuple(rng.randint(0, 2) for _ in range(3))) for _ in range(3)
+            )
+            if p:
+                polys.append(p)
+        start, extra = polys[:4], polys[4:]
+        basis = list(start)
+        reducers = _Reducers(basis)
+        got = drain_growing(PairQueue(basis, reducers, StepBudget()), basis, extra, reducers)
+        reference_basis = list(start)
+        want = drain_growing(ScanningQueue(reference_basis), reference_basis, extra)
+        assert got == want
+        totals = [t + n for t, n in zip(totals, got[1])]
+    popped, product, chain = totals
+    assert product > 0 and chain > 0 and popped > product + chain

@@ -216,11 +216,12 @@ def test_completion_matches_rescan_on_zz_corpus_sample():
         # Completion takes every pair of its final basis, so these are the
         # accumulators that cancelled during the run.
         basis = kernel.basis
+        reducers = _Reducers(basis)
         cancelled += sum(
             not q
             for j in range(len(basis))
             for record in pair_records(basis, j)
-            for q, _ in combinations_for(basis, record)
+            for q, _ in combinations_for(basis, record, reducers)
         )
     assert cancelled > 0
 
