@@ -17,7 +17,7 @@ from .completion import (
     interreduce,
     is_groebner_basis,
 )
-from .pairs import GCD, SYZYGY, PairRecord
+from .pairs import GCD, SYZYGY
 from .parser import PolynomialSyntaxError, parse_polynomial
 from .poly import PolyRing, Polynomial, format_polynomial
 from .reduction import (
@@ -53,7 +53,6 @@ __all__ = [
     "is_groebner_basis",
     "GCD",
     "SYZYGY",
-    "PairRecord",
     "PolynomialSyntaxError",
     "parse_polynomial",
     "PolyRing",

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .pairs import PairQueue, combinations_for, pair_records
+from .pairs import PairQueue, combinations_for, records_of
 from .poly import Polynomial
 from .reduction import StepBudget, _fill_rows, _normal_form_keyed, _prepare, _Reducers, normal_form
 from .reduction import _row_polynomials, _row_sum, _unit_rows
@@ -97,16 +97,16 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
 
     budget = StepBudget(max_steps)
     reducers = _Reducers(basis, keep_tails=True)
-    enter, neg = reducers.form.enter or (lambda c: c), reducers.form.neg
+    neg = reducers.form.neg
     rows = _unit_rows(reducers.form, basis[0].ring, [gi for gi, g in enumerate(gens) if g])
     start = len(basis)
-    queue = PairQueue(basis, reducers, budget)
+    queue = PairQueue(reducers, budget)
     for j in range(start):
         queue.add(j)
 
     iterations = 0
     for record in queue:
-        for q, ((a1, k1), (a2, k2)) in combinations_for(basis, record, reducers):
+        for q, ((a1, k1), (a2, k2)) in combinations_for(reducers, record):
             iterations += 1
             if not q:
                 continue
@@ -118,7 +118,7 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
             # for each step (m, k, ks); k1, k2 and every ks are the heap keys
             # of s1, s2 and s.  Its row is summed from these parts when read.
             steps = [(m, neg(k), ks) for m, k, ks in steps]
-            rows.append([(record.i, enter(a1), k1), (record.j, enter(a2), k2), *steps])
+            rows.append([(record[0], a1, k1), (record[1], a2, k2), *steps])
             basis.append(result)
             reducers.append(result)
             queue.add(len(basis) - 1)
@@ -182,7 +182,7 @@ def interreduce(basis) -> list:
 
 
 def is_groebner_basis(basis) -> bool:
-    """Certificate check: every pairwise gcd and syzygy polynomial reduces to 0."""
+    """Certificate check: every pair's gcd and syzygy polynomials reduce to 0 (over a field, its S-polynomial)."""
     basis = list(basis)
     if not all(basis):
         raise ValueError("critical pairs require nonzero basis entries")
@@ -190,8 +190,8 @@ def is_groebner_basis(basis) -> bool:
         return True
     reducers = _Reducers(basis, keep_tails=True)
     for j in range(len(basis)):
-        for record in pair_records(basis, j):
-            for q, _ in combinations_for(basis, record, reducers):
+        for record in records_of(reducers, j):
+            for q, _ in combinations_for(reducers, record):
                 if q and _normal_form_keyed(q, reducers, None, None, None):
                     return False
     return True

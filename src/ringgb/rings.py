@@ -21,19 +21,22 @@ three shipped rings.  ``element`` coerces ring values, ``int`` and
 
 ``reduce_step`` runs once per candidate reducer, so it takes ring
 elements (values as ``element`` returns them) and does not coerce its
-arguments; ``groebner`` and ``syzygies``, called once per critical
-pair, still coerce.
+arguments.
 
-The reduction loop reaches a ring through one hook, ``_kernel_form``,
-which returns a ``_KernelForm``: the coefficient representation the loop
-computes in, with its arithmetic and a division step against a head
-prepared once per basis element.  The default is the ring's own values
-and methods, so a further ring needs nothing more than the contract
-above.  GF(p) prepares each head as its inverse, ZZ prepares it as
-``(b, |b|)`` and computes with the ``operator`` functions, and QQ
-reduces in ``(numerator, denominator)`` int pairs in lowest terms,
-which cost a fraction of ``Fraction`` arithmetic; every value outside
-the loop stays as ``element`` returns it.
+The reduction loop and the pair construction reach a ring through one
+hook, ``_kernel_form``, which returns a ``_KernelForm``: the
+coefficient representation they compute in, with its arithmetic, a
+division step against a head prepared once per basis element, and the
+coefficient rows of a critical pair.  The default is the ring's own
+values and methods, the rows from ``groebner`` and ``syzygies`` (which
+coerce), so a further ring needs nothing more than the contract above.
+The shipped rings call none of these methods there.  GF(p) prepares
+each head as its inverse, which also gives the pair rows.  ZZ prepares
+it as ``(b, |b|)``, computes with the ``operator`` functions and takes
+pair rows from ``_xgcd`` and the lcm quotients.  QQ reduces in
+``(numerator, denominator)`` int pairs in lowest terms, which cost a
+fraction of ``Fraction`` arithmetic; every value outside the loop stays
+as ``element`` returns it.
 """
 
 from __future__ import annotations
@@ -111,7 +114,10 @@ class _KernelForm(NamedTuple):
     act on the representation as the ring's methods do on elements.
     ``prepare`` runs once per basis element on its entered head
     coefficient b, and ``step(c, prepare(b))`` is ``reduce_step(c, b)``
-    in the representation.
+    in the representation.  ``pair_rows(prepare(a), prepare(b),
+    groebner)`` is the list of rows ``(a1, a2)`` of ``groebner([a,
+    b])[1]`` when ``groebner`` is true and of ``syzygies(a, b)``
+    otherwise, in the representation: a critical pair's coefficients.
     """
 
     enter: Callable | None
@@ -122,6 +128,7 @@ class _KernelForm(NamedTuple):
     is_zero: Callable
     prepare: Callable
     step: Callable
+    pair_rows: Callable
 
 
 def _same(value):
@@ -136,10 +143,11 @@ class CoefficientRing:
     ``int``, ``Fraction``) and ``from_fraction`` (the parser's literals)
     are the entry points that canonicalize foreign values, and
     ``format`` is the one printing hook.  ``groebner`` and ``syzygies``
-    accept anything ``element`` accepts.  ``_kernel_form`` is the one hook of the reduction loop;
-    its default runs the loop on these methods, so a ring overrides it
-    only for speed.  A new ring writes ``element``, ``from_fraction``,
-    ``add``, ``mul``, ``neg``, ``exact_div``, ``reduce_step``, ``groebner``,
+    accept anything ``element`` accepts.  ``_kernel_form`` is the one
+    hook of the reduction loop and the pair construction; its default
+    runs them on these methods, so a ring overrides it only for speed.
+    A new ring writes ``element``, ``from_fraction``, ``add``, ``mul``,
+    ``neg``, ``exact_div``, ``reduce_step``, ``groebner``,
     ``canonical_unit`` and ``_lcm_pair``, which the default ``syzygies``
     divides with ``exact_div``; every other method has a default.  A
     field also sets ``is_field``.
@@ -237,7 +245,10 @@ class CoefficientRing:
 
     def _kernel_form(self) -> _KernelForm:
         """The reduction loop's ``_KernelForm``: by default the ring's own values and methods."""
-        return _KernelForm(None, None, self.add, self.mul, self.neg, self.is_zero, _same, self.reduce_step)
+        return _KernelForm(
+            None, None, self.add, self.mul, self.neg, self.is_zero, _same, self.reduce_step,
+            lambda a, b, groebner: self.groebner([a, b])[1] if groebner else self.syzygies(a, b),
+        )
 
     def canonical_unit(self, c):
         """Unit u such that u*c is the canonical associate of nonzero c."""
@@ -328,13 +339,17 @@ class PrimeField(_FieldMixin, CoefficientRing):
 
     def _kernel_form(self):
         # Over a field the first dividing head always hits, so each head
-        # is prepared as its inverse and a step is one product.
+        # is prepared as its inverse and a step is one product.  The pair
+        # rows are then (1/a, 0) and (1/a, -1/b).
         p = self.p
 
         def step(c, inverse):
             return (c * inverse % p, 0) if c else None
 
-        return _KernelForm(None, None, self.add, self.mul, self.neg, self.is_zero, lambda b: pow(b, -1, p), step)
+        def rows(a, b, groebner):
+            return [(a, 0 if groebner else p - b)]
+
+        return _KernelForm(None, None, self.add, self.mul, self.neg, self.is_zero, lambda b: pow(b, -1, p), step, rows)
 
 
 class Rationals(_FieldMixin, CoefficientRing):
@@ -412,6 +427,7 @@ _QQ_FORM = _KernelForm(
     is_zero=lambda x: not x[0],
     prepare=_qq_inverse,
     step=_qq_step,
+    pair_rows=lambda a, b, groebner: [(a, (0, 1) if groebner else (-b[0], b[1]))],  # as over GF(p)
 )
 
 
@@ -513,6 +529,15 @@ def _zz_step(c, head):
     return (c - d) // b, d
 
 
+def _zz_rows(a, b, groebner):
+    # Heads prepared as (b, |b|); the rows of ``groebner`` and ``syzygies``.
+    a, b = a[0], b[0]
+    if groebner:
+        return [_xgcd(a, b)[1:]]
+    common = abs(a * b) // gcd(a, b)
+    return [(common // a, -(common // b))]
+
+
 _ZZ_FORM = _KernelForm(
     enter=None,
     leave=None,
@@ -522,6 +547,7 @@ _ZZ_FORM = _KernelForm(
     is_zero=operator.not_,
     prepare=lambda b: (b, abs(b)),
     step=_zz_step,
+    pair_rows=_zz_rows,
 )
 
 

@@ -71,6 +71,13 @@ class TermOrder:
             return tuple(map(neg, term))
         return (-sum(term), *map(neg, term))
 
+    def key_lcm(self, a: tuple, b: tuple) -> tuple:
+        """``heap_key(term_lcm(s, t))`` from the heap keys a and b of s and t."""
+        key = tuple(map(min, a, b))
+        if self.kind == "lex":
+            return key
+        return (sum(key) - key[0], *key[1:])
+
     def term_from_heap_key(self, key: tuple) -> tuple:
         """The term whose ``heap_key`` is ``key``."""
         if self.kind != "lex":

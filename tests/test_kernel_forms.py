@@ -4,8 +4,10 @@ QQ reduces in ``(numerator, denominator)`` int pairs: every operation
 must agree exactly with ``Fraction`` and stay in lowest terms, also on
 large, negative and cancelling values.  GF(p) prepares each head as
 its inverse, and ZZ as ``(b, |b|)``, whose step must give the ring's
-``(k, d)`` exactly.  A ring written against the contract alone keeps
-the default form and completes exactly as the shipped GF(7) does.
+``(k, d)`` exactly.  Every form's ``pair_rows`` must give the ring's
+own ``groebner`` and ``syzygies`` rows exactly.  A ring written against
+the contract alone keeps the default form and completes exactly as the
+shipped GF(7) does.
 """
 
 import random
@@ -214,3 +216,52 @@ def test_a_ring_without_the_hook_completes_as_the_shipped_field():
         assert [p.monomials for p in got] == [p.monomials for p in expected]
         assert [str(p) for p in got] == [str(p) for p in expected]  # the default ``format`` prints
         assert (their_trace.iterations, their_trace.reduction_steps) == (trace.iterations, trace.reduction_steps)
+
+
+def assert_pair_rows_are_the_contract(ring, a, b):
+    """The form's ``pair_rows`` on the prepared heads a and b, after ``leave``, are the ring's own rows."""
+    form = ring._kernel_form()
+    enter, leave = form.enter or (lambda c: c), form.leave or (lambda c: c)
+    pa, pb = form.prepare(enter(a)), form.prepare(enter(b))
+    for groebner, want in ((True, ring.groebner([a, b])[1]), (False, ring.syzygies(a, b))):
+        got = [tuple(map(leave, row)) for row in form.pair_rows(pa, pb, groebner)]
+        want = [tuple(row) for row in want]
+        assert got == want
+        assert [tuple(map(type, row)) for row in got] == [tuple(map(type, row)) for row in want]
+
+
+nonzero = st.integers(-9, 9).filter(bool) | st.integers(-(2**256), 2**256).filter(bool)
+zz_heads = (
+    st.tuples(nonzero, nonzero)
+    | st.tuples(nonzero, nonzero).map(lambda p: (p[0], p[0] * p[1]))  # a divides b
+    | st.tuples(nonzero, nonzero).map(lambda p: (p[0] * p[1], p[1]))  # b divides a
+    | nonzero.map(lambda a: (a, a))
+    | nonzero.map(lambda a: (a, -a))
+    | st.tuples(nonzero, nonzero).map(lambda p: (p[0], p[0] * p[1] + 1)).filter(lambda p: p[1])  # coprime
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(zz_heads)
+@example((6, 4))
+@example((-6, 4))
+@example((1, -1))
+@example((2**256, 3**100))
+def test_zz_pair_rows_are_the_rings_groebner_and_syzygies(heads):
+    for ring in (ZZ, DefaultFormZZ()):
+        assert_pair_rows_are_the_contract(ring, *heads)
+
+
+nonzero_fractions = values.filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(nonzero_fractions, nonzero_fractions),
+    st.tuples(st.integers(1, 32002), st.integers(1, 32002)),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+)
+def test_field_pair_rows_are_the_rings_groebner_and_syzygies(qq_heads, gf_heads, gf7_heads):
+    assert_pair_rows_are_the_contract(QQ, *qq_heads)
+    assert_pair_rows_are_the_contract(PrimeField(32003), *gf_heads)
+    assert_pair_rows_are_the_contract(ContractGF7(), *gf7_heads)

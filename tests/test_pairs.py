@@ -1,11 +1,12 @@
 import random
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import add, le
 
 import pytest
 
 from ringgb.completion import is_groebner_basis
-from ringgb.pairs import GCD, SYZYGY, PairQueue, PairRecord, combinations_for, pair_records, record_sort_key
+from ringgb.pairs import GCD, SYZYGY, PairQueue, combinations_for, records_of
 from ringgb.poly import PolyRing
 from ringgb.reduction import StepBudget, StepLimitExceeded, _normal_form_keyed, _Reducers
 from ringgb.rings import Integers, PrimeField, Rationals
@@ -28,6 +29,48 @@ COMBINATION_RINGS = (
 )
 
 
+@dataclass(frozen=True)
+class PairRecord:
+    """A pending pair obligation: basis indexes i < j, their head-term lcm, kind.
+
+    The reference for the queue's records, on terms rather than heap keys.
+    """
+
+    i: int
+    j: int
+    lcm: tuple
+    kind: str
+
+
+def pair_records(basis, j: int):
+    """The gcd and then the syzygy record of each pair (i, j) with i < j."""
+    head = basis[j].head_term
+    for i in range(j):
+        t = term_lcm(basis[i].head_term, head)
+        yield PairRecord(i, j, t, GCD)
+        yield PairRecord(i, j, t, SYZYGY)
+
+
+def record_sort_key(record: PairRecord, order):
+    """Selection policy: ascending lcm, ties by index pair, gcd before syzygy."""
+    return (order.sort_key(record.lcm), record.i, record.j, {GCD: 0, SYZYGY: 1}[record.kind])
+
+
+def queued(record: PairRecord, order):
+    """``record`` as ``records_of`` and ``PairQueue`` give it: ``(i, j, heap key of the lcm, kind)``."""
+    return (record.i, record.j, order.heap_key(record.lcm), record.kind)
+
+
+def random_sparse(rng, ring):
+    """A nonzero polynomial of up to three terms, exponents at most 2, coefficients in [-2, 2]."""
+    while True:
+        p = ring.from_monomials(
+            (rng.randint(-2, 2), tuple(rng.randint(0, 2) for _ in range(ring.nvars))) for _ in range(3)
+        )
+        if p:
+            return p
+
+
 def random_nonzero(rng, ring, max_exp=2, bound=4):
     while True:
         p = ring.from_monomials(
@@ -48,18 +91,19 @@ def combinations(p1, p2, kind):
 def pair_polynomials(basis, record, reducers):
     """combinations_for on ``record``, each q turned into a ``Polynomial``.
 
-    Each heap-key accumulator holds coefficients in the ring's kernel
-    form.  It is checked to hold no zero coefficient and then converted
-    through the public constructor.
+    Each heap-key accumulator, and each row coefficient, is in the
+    ring's kernel form.  The accumulator is checked to hold no zero
+    coefficient and then converted through the public constructor; the
+    row coefficients leave the form as ring elements.
     """
     R = basis[0].ring
     form = R.coeff_ring._kernel_form()
     leave = form.leave or (lambda c: c)
     out = []
-    for acc, combo in combinations_for(basis, record, reducers):
+    for acc, ((a1, k1), (a2, k2)) in combinations_for(reducers, queued(record, R.order)):
         assert not any(form.is_zero(c) for c in acc.values())
         q = R.from_monomials((leave(c), R.order.term_from_heap_key(k)) for k, c in acc.items())
-        out.append((q, combo))
+        out.append((q, ((leave(a1), k1), (leave(a2), k2))))
     return out
 
 
@@ -162,13 +206,13 @@ def test_syzygy_record_and_later_steps_read_the_tails_its_gcd_record_stored():
     basis = [2 * x**2 + y + 1, 3 * x * y - x]
     reducers = _Reducers(basis, keep_tails=True)
     calls = recording_shifted(reducers)
-    gcd, syzygy = pair_records(basis, 1)
-    kl = ZZ_XY.order.heap_key(gcd.lcm)
-    combinations_for(basis, gcd, reducers)
+    gcd, syzygy = (queued(r, ZZ_XY.order) for r in pair_records(basis, 1))
+    kl = gcd[2]
+    combinations_for(reducers, gcd)
     stored = dict(reducers.tails)
     assert set(stored) == {(0, kl), (1, kl)}
     del calls[:]
-    combinations_for(basis, syzygy, reducers)
+    combinations_for(reducers, syzygy)
     assert [(i, kt) for i, kt, _ in calls] == [(0, kl), (1, kl)]
     assert all(entry is stored[i, kt] for i, kt, entry in calls)
     assert reducers.tails == stored
@@ -191,7 +235,7 @@ def test_syzygy_record_over_a_field_stores_no_tail():
     assert before
     for record in all_records(basis):
         if record.kind == SYZYGY:
-            combinations_for(basis, record, reducers)
+            combinations_for(reducers, queued(record, GF5_XY.order))
     assert reducers.tails == before
     assert all(reducers.tails[key] is entry for key, entry in before.items())
 
@@ -252,6 +296,16 @@ def test_critical_pairs_combinatorics():
     assert sum(1 for r in records if r.kind == GCD) == 3
     assert sum(1 for r in records if r.kind == SYZYGY) == 3
     assert list(pair_records([x], 0)) == []
+    # ``records_of`` lists the same records on heap keys, and over a field
+    # the syzygy records alone.
+    for ring in (ZZ_XY, GF5_XY, PolyRing(Rationals(), ["x", "y"], TermOrder("deglex", precedence=(1, 0)))):
+        mirrored = [ring.from_monomials(p.monomials) for p in basis]
+        reducers = _Reducers(mirrored)
+        want = [queued(r, ring.order) for r in pair_records(mirrored, 2)]
+        if ring.coeff_ring.is_field:
+            want = [r for r in want if r[3] == SYZYGY]
+        assert list(records_of(reducers, 2)) == want
+        assert list(records_of(reducers, 0)) == []
 
 
 def test_critical_pairs_policy_order():
@@ -290,7 +344,7 @@ def test_pair_record_is_hashable():
 
 def drain(basis, budget):
     """The records a ``PairQueue`` of ``basis`` yields, and the queue."""
-    queue = PairQueue(basis, _Reducers(basis), budget)
+    queue = PairQueue(_Reducers(basis), budget)
     for j in range(len(basis)):
         queue.add(j)
     return list(queue), queue
@@ -302,9 +356,21 @@ def test_queue_over_the_integers_yields_every_record_in_order():
         basis = [random_nonzero(rng, ZZ_XY) for _ in range(5)]
         budget = StepBudget()
         yielded, queue = drain(basis, budget)
-        assert yielded == all_records(basis)
+        assert yielded == [queued(r, ZZ_XY.order) for r in all_records(basis)]
         assert queue.popped == budget.used == len(yielded) == 20
         assert (queue.product, queue.chain) == (0, 0)
+    # While the basis grows, the records of each new element join the ones
+    # still queued, and each pops as (i, j, heap key of the lcm, kind) in
+    # the reference's order: lex, deglex and a precedence.
+    rings = (ZZ_XY, PolyRing(Integers(), ["x", "y", "z"], "deglex"), PolyRing(Integers(), ["x", "y"], TermOrder("lex", precedence=(1, 0))))
+    for ring in rings:
+        for _ in range(10):
+            polys = [random_sparse(rng, ring) for _ in range(8)]
+            basis, reducers, budget = polys[:4], _Reducers(polys[:4]), StepBudget()
+            got = drain_growing(PairQueue(reducers, budget), basis, polys[4:], reducers)
+            reference_basis = polys[:4]
+            assert got == drain_growing(ScanningQueue(reference_basis), reference_basis, polys[4:])
+            assert budget.used == got[1][0] == len(got[0]) == 2 * 28
 
 
 @pytest.mark.parametrize("ring", [QQ_XY, GF5_XY])
@@ -313,7 +379,7 @@ def test_queue_over_a_field_skips_gcd_records_and_counts_every_pop(ring):
     basis = [x**2 - y, x * y - 1, y**3 - 1, x - y**2, y**2]
     budget = StepBudget()
     yielded, queue = drain(basis, budget)
-    syzygies = [r for r in all_records(basis) if r.kind == SYZYGY]
+    syzygies = [queued(r, ring.order) for r in all_records(basis) if r.kind == SYZYGY]
     # Only the syzygy records are queued and charged, and they are
     # yielded in queue order with the skipped ones left out.
     assert budget.used == len(syzygies) == 10
@@ -336,14 +402,18 @@ def test_queue_charges_each_queued_record(ring, queued):
 
 
 class ScanningQueue:
-    """The field criteria as a reference: each popped record tests every head against its lcm.
+    """The pair policy as a reference: ``pair_records`` popped in ``record_sort_key`` order.
 
-    Same interface as ``PairQueue`` over a field, on head terms rather
-    than heap keys and with no divisor index.
+    Same interface as ``PairQueue``, on head terms rather than heap keys
+    and with no divisor index; it yields each record as ``queued`` gives
+    it.  Over ``zz`` it yields every record.  Over a field it queues the
+    syzygy records alone, and each popped record tests every head
+    against its lcm for the criteria.
     """
 
     def __init__(self, basis):
         self.basis = basis
+        self.field = basis[0].ring.coeff_ring.is_field
         self.heads = []
         self.heap = []
         self.pending = set()
@@ -353,15 +423,18 @@ class ScanningQueue:
         self.heads.append(self.basis[j].head_term)
         order = self.basis[0].ring.order
         for record in pair_records(self.basis, j):
-            if record.kind == SYZYGY:
+            if record.kind == SYZYGY or not self.field:
                 self.pending.add((record.i, j))
                 heappush(self.heap, (record_sort_key(record, order), record))
 
     def __iter__(self):
-        heads, pending = self.heads, self.pending
+        heads, pending, order = self.heads, self.pending, self.basis[0].ring.order
         while self.heap:
             _, record = heappop(self.heap)
             self.popped += 1
+            if not self.field:
+                yield queued(record, order)
+                continue
             i, j = record.i, record.j
             pending.discard((i, j))
             if record.lcm == tuple(map(add, heads[i], heads[j])):
@@ -376,7 +449,7 @@ class ScanningQueue:
             ):
                 self.chain += 1
                 continue
-            yield record
+            yield queued(record, order)
 
 
 def drain_growing(queue, basis, extra, reducers=None):
@@ -407,17 +480,11 @@ def test_queue_criteria_match_a_scan_of_every_head_on_a_growing_basis(coeff_ring
     rng = random.Random(47)
     totals = [0, 0, 0]
     for _ in range(40):
-        polys = []
-        while len(polys) < 8:
-            p = ring.from_monomials(
-                (rng.randint(-2, 2), tuple(rng.randint(0, 2) for _ in range(3))) for _ in range(3)
-            )
-            if p:
-                polys.append(p)
+        polys = [random_sparse(rng, ring) for _ in range(8)]
         start, extra = polys[:4], polys[4:]
         basis = list(start)
         reducers = _Reducers(basis)
-        got = drain_growing(PairQueue(basis, reducers, StepBudget()), basis, extra, reducers)
+        got = drain_growing(PairQueue(reducers, StepBudget()), basis, extra, reducers)
         reference_basis = list(start)
         want = drain_growing(ScanningQueue(reference_basis), reference_basis, extra)
         assert got == want

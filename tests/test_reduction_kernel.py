@@ -17,7 +17,7 @@ from functools import partial
 import pytest
 
 from ringgb import Integers, PolyRing, PrimeField, Rationals, complete
-from ringgb.pairs import combinations_for, pair_records
+from ringgb.pairs import combinations_for, records_of
 from ringgb.reduction import (
     FirstReducibleStrategy,
     SeededRandomStrategy,
@@ -220,8 +220,8 @@ def test_completion_matches_rescan_on_zz_corpus_sample():
         cancelled += sum(
             not q
             for j in range(len(basis))
-            for record in pair_records(basis, j)
-            for q, _ in combinations_for(basis, record, reducers)
+            for record in records_of(reducers, j)
+            for q, _ in combinations_for(reducers, record)
         )
     assert cancelled > 0
 

@@ -125,3 +125,27 @@ def test_heap_key_is_additive_and_invertible(order):
         assert order.term_from_heap_key(ks) == s
         assert order.heap_key(term_mul(s, t)) == tuple(a + b for a, b in zip(ks, kt))
         assert term_divides(s, t) == all(a >= b for a, b in zip(ks, kt))
+
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+exponents = st.integers(0, 6) | st.integers(0, 2**70)
+term_pairs = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.tuples(*[exponents] * n), st.tuples(*[exponents] * n))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_pairs, st.sampled_from(["lex", "deglex"]), st.randoms(use_true_random=False))
+def test_lcm_on_heap_keys_is_the_heap_key_of_the_lcm(pair, kind, rnd):
+    # Pairs queue and combine on heap keys alone: the lcm taken on the
+    # keys must be the key of the term lcm, for each order and precedence.
+    s, t = pair
+    precedence = list(range(len(s)))
+    rnd.shuffle(precedence)
+    for order in (TermOrder(kind), TermOrder(kind, precedence=precedence)):
+        ks, kt = order.heap_key(s), order.heap_key(t)
+        assert order.key_lcm(ks, kt) == order.heap_key(term_lcm(s, t))
+        assert order.key_lcm(ks, ks) == ks
+        assert order.key_lcm(ks, kt) == order.key_lcm(kt, ks)
