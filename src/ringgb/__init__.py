@@ -17,7 +17,6 @@ from .completion import (
     interreduce,
     is_groebner_basis,
 )
-from .pairs import GCD, SYZYGY
 from .parser import PolynomialSyntaxError, parse_polynomial
 from .poly import PolyRing, Polynomial, format_polynomial
 from .reduction import (
@@ -51,8 +50,6 @@ __all__ = [
     "ideal_membership",
     "interreduce",
     "is_groebner_basis",
-    "GCD",
-    "SYZYGY",
     "PolynomialSyntaxError",
     "parse_polynomial",
     "PolyRing",

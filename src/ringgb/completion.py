@@ -35,10 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 
 from .pairs import PairQueue, combinations_for, records_of
 from .poly import Polynomial
-from .reduction import StepBudget, _fill_rows, _normal_form_keyed, _prepare, _Reducers, normal_form
+from .reduction import StepBudget, _fill_rows, _normal_form_keyed, _prepare, _reduce, _Reducers
 from .reduction import _row_polynomials, _row_sum, _unit_rows
 
 #: Safety valve only; termination is guaranteed by the ascending chain
@@ -137,48 +138,50 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
 
 
 def interreduce(basis) -> list:
-    """Canonical form of a Groebner basis.
+    """The reduced strong basis of the ideal of ``basis``, which must be a Groebner basis.
 
-    Reduces every element to normal form with respect to the others,
-    drops the ones that vanish, scales heads canonically (monic over
-    fields, positive over the integers), and sorts descending by head
-    term.  Idempotent; the result generates the same ideal and is still
-    a Groebner basis.
+    Heads are scaled canonically first (monic over fields, positive over
+    zz, whose remainder window is asymmetric).  One pass then walks the
+    elements ascending by head term.  At each term it takes the first
+    whose head coefficient no other one there reduces (an equal one that
+    comes later aside), keeps it if no kept head reduces its head, and
+    reduces its tail once through one ``_Reducers`` of the kept ones.
+    The result descends by head term and shares one key per term.
+
+    This is sound because the basis is strong: at each term that keeps
+    an element it holds one whose head coefficient generates the term's
+    ideal of head coefficients.  Every other element there is reducible
+    by it, it by none of them nor by a smaller kept head, and an element
+    at any other term by a kept head.  The kept elements are again a
+    strong basis, so each tail has one normal form.  Outside the
+    precondition the ideal may change: ``[x^2, x^2 + y]`` gives ``[x^2]``.
     """
     polys = [p for p in basis if p]
     if not polys:
         return []
-    coeff_ring = polys[0].ring.coeff_ring
-
-    def canonize(p):
-        return p.scale(coeff_ring.canonical_unit(p.head_coeff))
-
-    # Heads are normalized inside the loop: over zz the remainder window
-    # (-|b|/2, |b|/2] is asymmetric, so flipping an element's sign changes
-    # which of its coefficients are reducible.  The fixpoint must therefore
-    # be taken over canonically signed elements.
-    polys = [canonize(p) for p in polys]
-    changed = True
-    while changed:
-        changed = False
-        kept: list[Polynomial] = []
-        for i, p in enumerate(polys):
-            others = kept + polys[i + 1 :]
-            r = normal_form(p, others) if others else p
-            if r:
-                r = canonize(r)
-                kept.append(r)
-            if r != p:
-                changed = True
-        polys = kept
-    # Ascending head keys are descending head terms.  The elements of a
-    # reduced basis share most of their terms, so the result holds one
-    # key tuple per distinct term: a caller that keeps many bases keeps
-    # a fraction of the keys.
-    polys.sort(key=lambda p: p.keyed_monomials()[0][1])
-    keys: dict = {}
-    share = keys.setdefault
-    return [Polynomial(p.ring, keyed=tuple((c, share(k, k)) for c, k in p.keyed_monomials())) for p in polys]
+    ring = polys[0].ring
+    if any(p.ring != ring for p in polys):
+        raise ValueError("basis polynomials belong to different rings")
+    reducers = _Reducers((), ring, keep_tails=True)
+    form, heads, divisors, step = reducers.form, reducers.heads, reducers.divisors, reducers.form.step
+    enter = form.enter or (lambda c: c)
+    kept, keys = [], {}
+    # Ascending head terms are descending head keys; the sort is stable.
+    polys.sort(key=lambda p: p.keyed_monomials()[0][1], reverse=True)
+    for kt, group in groupby(polys, lambda p: p.keyed_monomials()[0][1]):
+        group = [p.scale(ring.coeff_ring.canonical_unit(p.head_coeff)) for p in group]
+        coeffs = [enter(p.head_coeff) for p in group]
+        rivals = list(enumerate(zip(coeffs, map(form.prepare, coeffs))))
+        first = next(
+            (n for n, c in enumerate(coeffs) if all(m >= n and d == c or step(c, h) is None for m, (d, h) in rivals)), 0
+        )
+        if any(step(coeffs[first], heads[i][1]) is not None for i in divisors(kt)):
+            continue
+        (hc, _), *tail = group[first].keyed_monomials()
+        keyed = ((hc, kt), *_reduce({k: enter(c) for c, k in tail}, reducers, None, None, None))
+        kept.append(Polynomial(ring, keyed=tuple((c, keys.setdefault(k, k)) for c, k in keyed)))
+        reducers.append(kept[-1])
+    return kept[::-1]
 
 
 def is_groebner_basis(basis) -> bool:

@@ -20,10 +20,10 @@ plain ints and operators over GF(p) and ZZ, with heads prepared once),
 which the loop computes in; emitted coefficients leave it at once.
 Readers sum step records into rows in that form (``_row_sum``), and
 coefficients leave it when ``_row_polynomials`` builds polynomials.
-Outside this module two callers touch the form: ``combinations_for``
-sums pair polynomials in it, and ``complete`` stores each added
-element's derivation, the pair's coefficients and its negated step
-records, in it.  Public inputs enter it once, in ``_prepare``.
+Outside this module three callers touch the form: ``combinations_for``
+sums pair polynomials in it, ``complete`` stores each added element's
+derivation in it, and ``interreduce`` enters its heads and tails.
+Other public inputs enter it once, in ``_prepare``.
 
 The default ``FirstReducibleStrategy`` (or None) takes the first reducer
 in basis order that hits the popped term.  Any other strategy only
@@ -42,16 +42,16 @@ remembers, per heap key, the dividing heads in basis order and how many
 heads it has tested.  ``complete`` keeps one for its whole run and
 appends each new element, so a term met again in a later pair
 polynomial tests only the heads added since; ``is_groebner_basis``
-keeps one for its pair walk, and each public call builds its own.
-These two long-lived indexes also keep each step's shifted tail: per
-reducer and target heap key, the cofactor's heap key and the reducer's
-tail with every key already shifted, so that a step met again (most of
-a completion's steps are) is one lookup and adds no key tuples.  A pair
-(i, j) at lcm l reads the same entries, as s1*basis[i] and s2*basis[j]
-are the steps of i and j at l.  A public call seldom repeats a step and
-builds each shifted tail anew.  Within one reduction, ``_steps`` also
-keeps each pending term's candidate steps until a step changes that
-term's coefficient.
+keeps one for its pair walk, ``interreduce`` one for its pass, and each
+public call builds its own.  These three also keep each step's shifted
+tail: per reducer and target heap key, the cofactor's heap key and the
+reducer's tail with every key already shifted, so that a step met again
+(most of a completion's steps are) is one lookup and adds no key tuples.
+A pair (i, j) at lcm l reads the same entries, as s1*basis[i] and
+s2*basis[j] are the steps of i and j at l.  A public call seldom
+repeats a step and builds each shifted tail anew.  Within one
+reduction, ``_steps`` also keeps each pending term's candidate steps
+until a step changes that term's coefficient.
 """
 
 from __future__ import annotations

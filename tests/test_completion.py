@@ -13,13 +13,13 @@ from ringgb.completion import (
     is_groebner_basis,
 )
 from ringgb.poly import PolyRing
-from ringgb.reduction import SeededRandomStrategy, StepLimitExceeded, reduces_to_zero
+from ringgb.reduction import SeededRandomStrategy, StepLimitExceeded, normal_form, reduces_to_zero
 from ringgb.rings import Integers, PrimeField, Rationals
 from ringgb.terms import TermOrder
 
 import naive_poly as naive
 from corpus import corpus
-from families import katsura
+from families import cyclic, katsura
 from test_kernel_forms import ContractGF7, DefaultFormZZ
 
 QQ_XY = PolyRing(Rationals(), ["x", "y"])
@@ -227,6 +227,60 @@ def test_interreduce_examples():
     assert interreduce([]) == []
     assert interreduce([QQ_XY.zero()]) == []
     assert interreduce([x, x]) == [x]
+    assert interreduce([6 * zx, 4 * zx, 2 * zx]) == [2 * zx]
+    with pytest.raises(ValueError):
+        interreduce([x, zx])
+
+
+def fixed_point_interreduce(basis):
+    """Reference interreduction: reduce each element by all the others, round after round, until none changes.
+
+    Heads are made canonical (monic over fields, positive over zz) before
+    and after each reduction, as the zz remainder window is asymmetric;
+    the result is sorted descending by head term.
+    """
+    polys = [p for p in basis if p]
+    if not polys:
+        return []
+    coeff_ring = polys[0].ring.coeff_ring
+
+    def canonize(p):
+        return p.scale(coeff_ring.canonical_unit(p.head_coeff))
+
+    polys = [canonize(p) for p in polys]
+    changed = True
+    while changed:
+        changed = False
+        kept = []
+        for i, p in enumerate(polys):
+            others = kept + polys[i + 1 :]
+            r = normal_form(p, others) if others else p
+            if r:
+                r = canonize(r)
+                kept.append(r)
+            if r != p:
+                changed = True
+        polys = kept
+    return sorted(polys, key=lambda p: p.keyed_monomials()[0][1])
+
+
+def test_interreduce_matches_the_fixed_point_loop_in_any_order():
+    # katsura-4 over zz, whose remainder window is asymmetric, and
+    # cyclic-5 over qq; and over zz a basis whose heads 6*x, 4*x, 2*x
+    # share one term, in descending and ascending coefficient: 6 reduces
+    # 4, and neither reduces 2.
+    bases = [list(entry.trace.basis) for entry in corpus()]
+    for coeff_ring, family, n in ((Integers(), katsura, 4), (Rationals(), cyclic, 5)):
+        bases.append(list(complete(family(PolyRing(coeff_ring, [f"u{i}" for i in range(n)], "deglex"))).basis))
+    x, _ = ZZ_XY.gens()
+    bases += [list(complete([6 * x, 4 * x]).basis), [2 * x, 4 * x, 6 * x]]
+    assert bases[-2] == [6 * x, 4 * x, 2 * x]
+    rng = random.Random(57)
+    for basis in bases:
+        want = fixed_point_interreduce(basis)
+        assert interreduce(basis) == want
+        rng.shuffle(basis)
+        assert interreduce(basis) == want
 
 
 def test_interreduce_stores_each_term_key_once():

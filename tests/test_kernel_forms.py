@@ -16,7 +16,17 @@ from math import gcd
 
 import pytest
 
-from ringgb import CoefficientRing, Integers, PolyRing, PrimeField, Rationals, RingError, complete, groebner_basis
+from ringgb import (
+    CoefficientRing,
+    Integers,
+    PolyRing,
+    PrimeField,
+    Rationals,
+    RingError,
+    complete,
+    groebner_basis,
+    interreduce,
+)
 
 from corpus import corpus, nonzero_poly
 
@@ -152,6 +162,7 @@ def test_zz_form_completes_as_the_default_form():
         mirror = PolyRing(DefaultFormZZ(), R.variables, R.order)
         ours, theirs = complete(gens), complete([mirror.from_monomials(g.monomials) for g in gens])
         assert trace_fields(theirs) == trace_fields(ours)
+        assert [p.monomials for p in interreduce(theirs.basis)] == [p.monomials for p in interreduce(ours.basis)]
 
 
 class ContractGF7(CoefficientRing):
