@@ -40,6 +40,7 @@ from itertools import groupby
 from .pairs import PairQueue, combinations_for, records_of
 from .poly import Polynomial
 from .reduction import StepBudget, _fill_rows, _normal_form_keyed, _prepare, _reduce, _Reducers
+from .reduction import normal_form  # noqa: F401  (read as completion.normal_form by perfbench)
 from .reduction import _row_polynomials, _row_sum, _unit_rows
 
 #: Safety valve only; termination is guaranteed by the ascending chain
@@ -140,21 +141,19 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
 def interreduce(basis) -> list:
     """The reduced strong basis of the ideal of ``basis``, which must be a Groebner basis.
 
-    Heads are scaled canonically first (monic over fields, positive over
-    zz, whose remainder window is asymmetric).  One pass then walks the
-    elements ascending by head term.  At each term it takes the first
-    whose head coefficient no other one there reduces (an equal one that
-    comes later aside), keeps it if no kept head reduces its head, and
-    reduces its tail once through one ``_Reducers`` of the kept ones.
-    The result descends by head term and shares one key per term.
+    Heads are first scaled canonically (zz's remainder window is
+    asymmetric).  One pass walks the elements ascending by head term; at
+    each term it scans left to right for the element whose head
+    coefficient reduces all others there, keeps it unless a kept head
+    reduces its head, and reduces its tail once against the kept ones.
 
-    This is sound because the basis is strong: at each term that keeps
-    an element it holds one whose head coefficient generates the term's
-    ideal of head coefficients.  Every other element there is reducible
-    by it, it by none of them nor by a smaller kept head, and an element
-    at any other term by a kept head.  The kept elements are again a
-    strong basis, so each tail has one normal form.  Outside the
-    precondition the ideal may change: ``[x^2, x^2 + y]`` gives ``[x^2]``.
+    Sound because the basis is strong: each kept term holds an element
+    whose head coefficient g generates the term's ideal of head
+    coefficients.  g reduces every other coefficient there and only an
+    equal one, whose tail has the same normal form, reduces g, so the
+    scan ends on g or its equal.  The kept elements are again a strong
+    basis, so each tail has one normal form.  Outside the precondition
+    the ideal may change: ``[x^2, x^2 + y]`` gives ``[x^2]``.
     """
     polys = [p for p in basis if p]
     if not polys:
@@ -163,7 +162,7 @@ def interreduce(basis) -> list:
     if any(p.ring != ring for p in polys):
         raise ValueError("basis polynomials belong to different rings")
     reducers = _Reducers((), ring, keep_tails=True)
-    form, heads, divisors, step = reducers.form, reducers.heads, reducers.divisors, reducers.form.step
+    form = reducers.form
     enter = form.enter or (lambda c: c)
     kept, keys = [], {}
     # Ascending head terms are descending head keys; the sort is stable.
@@ -171,14 +170,15 @@ def interreduce(basis) -> list:
     for kt, group in groupby(polys, lambda p: p.keyed_monomials()[0][1]):
         group = [p.scale(ring.coeff_ring.canonical_unit(p.head_coeff)) for p in group]
         coeffs = [enter(p.head_coeff) for p in group]
-        rivals = list(enumerate(zip(coeffs, map(form.prepare, coeffs))))
-        first = next(
-            (n for n, c in enumerate(coeffs) if all(m >= n and d == c or step(c, h) is None for m, (d, h) in rivals)), 0
-        )
-        if any(step(coeffs[first], heads[i][1]) is not None for i in divisors(kt)):
+        best = 0
+        for n in range(1, len(group)):
+            if form.step(coeffs[best], form.prepare(coeffs[n])) is not None:
+                best = n
+        if any(form.step(coeffs[best], reducers.heads[i][1]) is not None for i in reducers.divisors(kt)):
             continue
-        (hc, _), *tail = group[first].keyed_monomials()
-        keyed = ((hc, kt), *_reduce({k: enter(c) for c, k in tail}, reducers, None, None, None))
+        head, *tail = group[best].keyed_monomials()
+        reduced = _reduce({k: enter(c) for c, k in tail}, reducers, None, None, None)
+        keyed = (head, *reduced)
         kept.append(Polynomial(ring, keyed=tuple((c, keys.setdefault(k, k)) for c, k in keyed)))
         reducers.append(kept[-1])
     return kept[::-1]
