@@ -19,16 +19,15 @@ extended Buchberger algorithm (Becker & Weispfenning, *Groebner Bases*,
 1993), each kept as its derivation, the pair's coefficients and the
 reduction's step records, and summed from earlier rows on first read.
 
-Most pair polynomials reduce to zero, so the loop builds nothing that
-only a nonzero remainder needs.  Pair polynomials come from
-``combinations_for`` as the reduction loop's ``heap key ->
-coefficient`` accumulators, in its coefficient form, and are reduced
-from there, under every strategy.  ``combinations_for`` sums them from
-the shifted tails in the completion's one ``reduction._Reducers``, the
-memo that its reduction steps read too.  Membership reduces the query
-the same way and sums the step records of a zero remainder over the
-rows they reach.  The basis is consistent by construction, so it is
-not re-checked for each normal form.
+Most pair polynomials reduce to zero, so the loop builds nothing, not
+even a ``Polynomial``, that only a nonzero remainder needs.  Each pair
+polynomial is the reduction loop's ``heap key -> coefficient``
+accumulator, in its coefficient form, which ``combinations_for`` sums
+from the shifted tails in the completion's one ``reduction._Reducers``
+(its reduction steps read them too).  Membership reduces the query the
+same way and sums the step records of a zero remainder over the rows
+they reach.  The basis is consistent by construction, so it is not
+re-checked for each normal form.
 """
 
 from __future__ import annotations
@@ -113,16 +112,15 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
             if not q:
                 continue
             steps = []
-            result = _normal_form_keyed(q, reducers, strategy, budget, steps)
-            if not result:
+            keyed = tuple(_reduce(q, reducers, strategy, budget, steps))
+            if not keyed:
                 continue
             # The new element is a1*s1*basis[i] + a2*s2*basis[j] minus k*s*basis[m]
             # for each step (m, k, ks); k1, k2 and every ks are the heap keys
             # of s1, s2 and s.  Its row is summed from these parts when read.
-            steps = [(m, neg(k), ks) for m, k, ks in steps]
-            rows.append([(record[0], a1, k1), (record[1], a2, k2), *steps])
-            basis.append(result)
-            reducers.append(result)
+            rows.append([(record[0], a1, k1), (record[1], a2, k2), *[(m, neg(k), ks) for m, k, ks in steps]])
+            basis.append(Polynomial(reducers.ring, keyed=keyed))
+            reducers.append(basis[-1])
             queue.add(len(basis) - 1)
 
     return CompletionTrace(

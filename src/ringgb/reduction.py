@@ -10,48 +10,46 @@ One in-place loop serves every strategy, after the mutable accumulators
 of Monagan & Pearce ("Sparse polynomial division using a heap", JSC 46,
 2011) and Yan ("The geobucket data structure for polynomials", JSC 25,
 1998): a ``heap key -> coefficient`` dict of the pending terms and a
-heap of their keys (``TermOrder.heap_key``).  The loop pops the largest
-pending term; each step subtracts k*s*tail(b) into the dict in place.
-Once the popped term has no valid step it is final and is emitted, so
-the remainder comes out in descending order without a sort.  For
-cofactors each step only appends ``(reducer, k, cofactor heap key)`` to
-a list, with k left in the ring's ``_kernel_form`` (int pairs over QQ,
-plain ints and operators over GF(p) and ZZ, with heads prepared once),
-which the loop computes in; emitted coefficients leave it at once.
-Readers sum step records into rows in that form (``_row_sum``), and
-coefficients leave it when ``_row_polynomials`` builds polynomials.
-Outside this module three callers touch the form: ``combinations_for``
-sums pair polynomials in it, ``complete`` stores each added element's
-derivation in it, and ``interreduce`` enters its heads and tails.
-Other public inputs enter it once, in ``_prepare``.
+heap of their keys (``TermOrder.heap_key``).  It pops the largest pending
+term, subtracts each step's k*s*tail(b) into the dict, and emits the
+term once it has no valid step, so the remainder comes out sorted.  It
+computes in the ring's ``_kernel_form`` (int pairs over QQ, plain ints
+over GF(p) and ZZ, heads prepared once).  For cofactors each step only
+appends ``(reducer, k, cofactor heap key)`` to a list, k in that form,
+which ``_row_sum`` sums into rows.  Outside this module
+``combinations_for``, ``complete`` and ``interreduce`` compute in the
+form too; other inputs enter it in ``_prepare``.
 
 The default ``FirstReducibleStrategy`` (or None) takes the first reducer
-in basis order that hits the popped term.  Any other strategy only
-chooses: while the popped term has a valid step, ``strategy.select``
-gets every valid step of the pending terms (as ``iter_reduction_steps``
-lists them) and may pick one at a lower term.  The terms above are
-final and have no step, as a step never touches a term above its own
-and reducibility depends only on a monomial's coefficient and term.  So
-the candidates are those of a loop that rescans the polynomial after
-every step, and the default rule's first one is the default path's step.
+in basis order that hits the popped term.  Its scan of the dividing
+heads resumes after each hit, and after a hit one more round scans them
+all.  On the shipped rings a head that missed a coefficient misses every
+later remainder too (a field's is 0; ZZ's stays in each window (-|b|/2,
+|b|/2] the dividend was in), so that round finds nothing and the steps
+are those of a restarted scan; on a ring whose step can turn a miss into
+a hit, it takes that step.  Any other strategy only chooses: while the
+popped term has a valid step, ``strategy.select`` gets every valid step
+of the pending terms (as ``iter_reduction_steps`` lists them) and may
+pick one at a lower term.  The terms above are final, as a step never
+touches a term above its own and reducibility depends only on a
+monomial's coefficient and term.  So the candidates are those of a loop
+that rescans the polynomial after every step, and the default rule's
+first one is the default path's step.
 
 Both paths find a term's reducers in one divisor index, ``_Reducers``
 (after the divisor lookups of Bachmann & Schoenemann, "Monomial
-representations for Groebner bases computations", ISSAC 1998).  It
+representations for Groebner bases computations", ISSAC 1998), which
 remembers, per heap key, the dividing heads in basis order and how many
 heads it has tested.  ``complete`` keeps one for its whole run and
-appends each new element, so a term met again in a later pair
-polynomial tests only the heads added since; ``is_groebner_basis``
-keeps one for its pair walk, ``interreduce`` one for its pass, and each
-public call builds its own.  These three also keep each step's shifted
-tail: per reducer and target heap key, the cofactor's heap key and the
-reducer's tail with every key already shifted, so that a step met again
-(most of a completion's steps are) is one lookup and adds no key tuples.
-A pair (i, j) at lcm l reads the same entries, as s1*basis[i] and
-s2*basis[j] are the steps of i and j at l.  A public call seldom
-repeats a step and builds each shifted tail anew.  Within one
-reduction, ``_steps`` also keeps each pending term's candidate steps
-until a step changes that term's coefficient.
+appends each new element, so a term met again tests only the heads added
+since; ``is_groebner_basis`` keeps one for its pair walk,
+``interreduce`` one for its pass, and each public call builds its own.
+These three also keep each step's shifted tail, so that a repeated step
+(most of a completion's steps are) is one dict read; a pair (i, j) at
+lcm l reads the same entries, as s1*basis[i] and s2*basis[j] are the
+steps of i and j at l.  A public call seldom repeats a step and keeps
+none.  Within one reduction, ``_steps`` keeps each pending term's
+candidate steps until a step changes its coefficient.
 """
 
 from __future__ import annotations
@@ -59,6 +57,7 @@ from __future__ import annotations
 import random
 from heapq import heapify, heappop, heappush
 from itertools import islice
+from math import inf
 from operator import add as add_int, ge, sub
 from typing import NamedTuple
 
@@ -103,7 +102,8 @@ class FirstReducibleStrategy:
     ``select(candidates)`` returns one of the valid steps it is given.
     Reduction calls it only while a step exists and raises ``ValueError``
     if it returns None.  Only this class itself, not a subclass, takes
-    the default path, which lists no candidates.
+    the default path, which lists no candidates and resumes its scan of
+    the heads after each hit (see the module docstring).
     """
 
     def select(self, candidates):
@@ -152,27 +152,21 @@ class _Reducers:
     ring.  ``form`` is the ``_KernelForm`` of its coefficients.
     ``keyed[i]`` holds basis element i's keyed monomials in that form,
     and ``heads[i]`` its head as ``(heap key, prepared coefficient)``.
-    ``memo`` maps a heap key to
-    ``(n, divisors)``: the indexes, in basis order, of the heads among
-    the first n that divide it.  The basis only grows, through
-    ``append``, so an entry older than the basis is extended by testing
-    the new heads alone.
+    ``memo`` maps a heap key to ``(n, divisors)``: the indexes, in basis
+    order, of the heads among the first n that divide it.  The basis
+    only grows, through ``append``, so an entry older than the basis is
+    extended by testing the new heads alone.
 
-    With ``keep_tails``, ``tails`` maps ``(i, kt)``, a reducer and the
-    heap key of a term its head divides, to ``shifted(i, kt)``: the heap
-    key ks of the cofactor term and element i's tail multiplied by it,
-    ``(ks, [(c, kb + ks), ...])``, coefficients in the loop's form.  A
-    step of reducer i at kt and a pair of i at lcm kt read the same
-    entry.  Basis elements never change, so an entry never goes stale.
+    With ``keep_tails``, ``tails`` maps ``(i, kt)`` to ``shift(i, kt)``:
+    a step of reducer i at kt and a pair of i at lcm kt read the same
+    entry, which never goes stale as basis elements never change.
     Otherwise ``tails`` is None and each read builds its entry anew.
     """
 
     def __init__(self, basis, ring=None, *, keep_tails=False):
         self.ring = basis[0].ring if ring is None else ring
         self.form = self.ring.coeff_ring._kernel_form()
-        self.keyed = []
-        self.heads = []
-        self.memo = {}
+        self.keyed, self.heads, self.memo = [], [], {}
         self.tails = {} if keep_tails else None
         for b in basis:
             self.append(b)
@@ -189,30 +183,27 @@ class _Reducers:
         self.keyed.append(keyed)
         self.heads.append((keyed[0][1], self.form.prepare(keyed[0][0])))
 
-    def shifted(self, i, kt, keep=True):
-        """``(ks, tail)`` of reducer i at heap key ``kt``, which its head divides.
+    def shift(self, i, kt, keep=True):
+        """A new ``(ks, [(c, kb + ks), ...])``: ks the key of s with s*HT(i) at ``kt``, i's tail times s.
 
-        ``ks`` is the heap key of the cofactor term s that moves the head
-        to ``kt``, and ``tail`` is element i's tail times s.  An entry
-        kept in ``tails`` is returned as it is; a new one is stored there
-        when ``keep`` is true and the index keeps tails.
+        It is stored in ``tails`` when ``keep`` and the index keeps tails.
         """
-        tails = self.tails
-        if tails is not None:
-            entry = tails.get((i, kt))
-            if entry is not None:
-                return entry
         ks = tuple(map(sub, kt, self.heads[i][0]))
         entry = ks, [(cb, tuple(map(add_int, kb, ks))) for cb, kb in islice(self.keyed[i], 1, None)]
-        if keep and tails is not None:
-            tails[i, kt] = entry
+        if keep and self.tails is not None:
+            self.tails[i, kt] = entry
         return entry
 
-    def divisors(self, kt):
-        """Indexes of the heads that divide heap key ``kt``, in basis order."""
+    def shifted(self, i, kt, keep=True):
+        """``shift(i, kt, keep)``, unless ``tails`` holds its entry already."""
+        entry = None if self.tails is None else self.tails.get((i, kt))
+        return entry or self.shift(i, kt, keep)
+
+    def divisors(self, kt, entry=None):
+        """Indexes of the heads dividing heap key ``kt`` in basis order; ``entry`` is its memo read."""
         heads = self.heads
         n = len(heads)
-        start, found = self.memo.get(kt, _NOT_SEEN)
+        start, found = entry or self.memo.get(kt, _NOT_SEEN)
         if start < n:
             found = found + [i for i in range(start, n) if all(map(ge, heads[i][0], kt))]
             self.memo[kt] = n, found
@@ -268,20 +259,19 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
     Unless ``steps`` is None, each step appends ``(reducer, k, heap key
     of the cofactor term)`` to it and nothing is summed: a reducer and
     term may recur, and k stays in the form.  Emitted coefficients are
-    ring elements.  A step of reducer i at target kt reads its shifted
-    tail from ``reducers.tails`` when the index keeps them, and adds it
-    there the first time.
+    ring elements.  Steps read and add shifted tails in ``reducers.tails``
+    when it keeps them.  ``budget`` is charged when the loop ends, and at
+    once at the step past its limit, which raises ``StepLimitExceeded``.
     """
-    key_of = reducers.ring.order.heap_key
-    form = reducers.form
-    add, mul, neg, is_zero, step, enter, leave = (
-        form.add, form.mul, form.neg, form.is_zero, form.step, form.enter, form.leave
-    )
+    enter, leave, add, mul, neg, is_zero, _, step, _ = reducers.form
     # Subclasses may override ``select``, so only the class itself runs the default rule.
     default = strategy is None or type(strategy) is FirstReducibleStrategy
     select = None if default else strategy.select
     known = {}  # the candidate steps of pending terms, for ``_steps``
-    heads, divisors_of, shifted = reducers.heads, reducers.divisors, reducers.shifted
+    heads, memo, tails = reducers.heads, reducers.memo, reducers.tails
+    divisors_of, shift, count = reducers.divisors, reducers.shift, len(heads)
+    used, limit = (0, inf) if budget is None else (budget.used, budget.limit)
+    limit = inf if limit is None else limit
     # A coefficient that cancels stays in ``acc`` as a zero entry, so
     # that its key is never pushed twice.
     heap = list(acc)
@@ -291,13 +281,20 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
         c = acc.pop(kt)
         if is_zero(c):
             continue
-        divisors = divisors_of(kt)
-        while divisors:
-            for i in divisors:
+        entry = memo.get(kt, _NOT_SEEN)
+        divisors = entry[1] if entry[0] == count else divisors_of(kt, entry)
+        # Resume after each hit, and scan once more after a round with a hit.
+        scan, again = iter(divisors), False
+        while True:
+            for i in scan:
                 hit = step(c, heads[i][1])
                 if hit is not None:
                     break
             else:
+                if again:
+                    scan, again = iter(divisors), False
+                    continue
+                yield (c if leave is None else leave(c)), kt
                 break
             if select is None:
                 k, c = hit
@@ -312,13 +309,16 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
                 i, k, d = chosen.reducer, chosen.coefficient, chosen.remainder
                 if enter is not None:
                     k, d = enter(k), enter(d)
-                target = key_of(chosen.term)
+                target = reducers.ring.order.heap_key(chosen.term)
                 acc[target] = d
                 c = acc.pop(kt)
-            if budget is not None:
-                budget.spend()
+            used += 1
+            if used > limit:
+                budget.used = used - 1
+                budget.spend()  # raises StepLimitExceeded
             minus_k = neg(k)
-            ks, tail = shifted(i, target)
+            kept = None if tails is None else tails.get((i, target))
+            ks, tail = kept or shift(i, target)
             for cb, ku in tail:
                 x = mul(cb, minus_k)
                 old = acc.get(ku)
@@ -331,8 +331,9 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
                 steps.append((i, k, ks))
             if is_zero(c):
                 break
-        if not is_zero(c):
-            yield (c if leave is None else leave(c)), kt
+            again = True
+    if budget is not None:
+        budget.used = used
 
 
 def _normal_form_keyed(acc: dict, reducers, strategy, budget, steps) -> Polynomial:

@@ -86,6 +86,24 @@ def check_fixed_divisor_terminates(ring, elements):
             assert ring.reduce_step(hit[1], b) is None
 
 
+def check_steps_keep_misses(ring, elements):
+    """A step never turns a miss into a hit, in the ring's ``_kernel_form``.
+
+    If head b1 misses c and head b2 reduces c to d, b1 misses d too.  The
+    default reduction rule relies on it to resume its divisor scan after
+    a hit: its last round over the heads then finds no step.
+    """
+    form = ring._kernel_form()
+    values = [v if form.enter is None else form.enter(v) for v in elements]
+    heads = [form.prepare(v) for v in values if not form.is_zero(v)]
+    for c in values:
+        missed = [h for h in heads if form.step(c, h) is None]
+        for b in heads:
+            hit = form.step(c, b)
+            if hit is not None:
+                assert not [h for h in missed if form.step(hit[1], h) is not None], (c, b)
+
+
 def run_all_int(bound):
     ring = Integers()
     elements = list(range(-bound, bound + 1))
@@ -93,6 +111,7 @@ def run_all_int(bound):
     check_subtraction_identity(ring, elements)
     check_transitivity_int(bound)
     check_fixed_divisor_terminates(ring, elements)
+    check_steps_keep_misses(ring, elements)
 
 
 def run_all_field(p):
@@ -105,3 +124,4 @@ def run_all_field(p):
     check_subtraction_identity(ring, elements)
     check_transitivity_field(p)
     check_fixed_divisor_terminates(ring, elements)
+    check_steps_keep_misses(ring, elements)

@@ -215,6 +215,32 @@ def test_step_ceiling_counts_queued_pairs():
         complete([x**100_000 * y - 1, y**100_000 * x - 1], max_steps=1000)
 
 
+@pytest.mark.parametrize(
+    "coeff_ring, family, prefix",
+    [(Integers(), katsura, "u"), (PrimeField(32003), cyclic, "x")],
+    ids=["katsura4-zz", "cyclic4-gf32003"],
+)
+def test_step_limit_admits_exactly_the_steps_a_completion_takes(coeff_ring, family, prefix, monkeypatch):
+    gens = family(PolyRing(coeff_ring, [f"{prefix}{i}" for i in range(4)], "deglex"))
+    trace = complete(gens)
+    # Each reduction step and each queued pair counts; every queued pair is popped.
+    total = trace.reduction_steps + trace.pairs_processed
+    budgets = []
+
+    class RecordedBudget(reduction.StepBudget):
+        def __init__(self, limit=None):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(completion, "StepBudget", RecordedBudget)
+    assert complete(gens, max_steps=total) == trace
+    assert (budgets[-1].limit, budgets[-1].used) == (total, total)
+    with pytest.raises(StepLimitExceeded) as raised:
+        complete(gens, max_steps=total - 1)
+    assert str(raised.value) == f"exceeded the configured limit of {total - 1} reduction steps"
+    assert (budgets[-1].limit, budgets[-1].used) == (total - 1, total)
+
+
 def test_interreduce_examples():
     x, y = QQ_XY.gens()
     assert interreduce([x**2 - y, x * y - 1, x - y**2, y**3 - 1]) == [

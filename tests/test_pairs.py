@@ -187,25 +187,30 @@ def test_pair_polynomials_are_exact_combinations(ring):
                 assert lhs == q
 
 
-def recording_shifted(reducers):
-    """Make ``reducers.shifted`` record each ``(i, kt, entry)`` it returns."""
-    calls = []
-    shifted = reducers.shifted
+class RecordingTails(dict):
+    """A tail memo that records each read ``(i, kt, entry)``, entry None on a miss."""
 
-    def record(i, kt, keep=True):
-        entry = shifted(i, kt, keep)
-        calls.append((i, kt, entry))
+    def __init__(self, tails):
+        super().__init__(tails)
+        self.reads = []
+
+    def get(self, key, default=None):
+        entry = super().get(key, default)
+        self.reads.append((*key, entry))
         return entry
 
-    reducers.shifted = record
-    return calls
+
+def recording_tails(reducers):
+    """Make ``reducers.tails`` record its reads, which both pair polynomials and steps make; return them."""
+    reducers.tails = RecordingTails(reducers.tails)
+    return reducers.tails.reads
 
 
 def test_syzygy_record_and_later_steps_read_the_tails_its_gcd_record_stored():
     x, y = ZZ_XY.gens()
     basis = [2 * x**2 + y + 1, 3 * x * y - x]
     reducers = _Reducers(basis, keep_tails=True)
-    calls = recording_shifted(reducers)
+    calls = recording_tails(reducers)
     gcd, syzygy = (queued(r, ZZ_XY.order) for r in pair_records(basis, 1))
     kl = gcd[2]
     combinations_for(reducers, gcd)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,9 +15,10 @@ from ringgb.reduction import (
     normal_form_with_cofactors,
     reduces_to_zero,
 )
-from ringgb.rings import Integers, PrimeField, Rationals
+from ringgb.rings import CoefficientRing, Integers, PrimeField, Rationals
 from ringgb.completion import complete
 
+import axiom_checks
 import naive_poly as naive
 import rescan_reduction as rescan
 
@@ -300,3 +302,43 @@ def test_certificates_expand_exactly_under_repeated_steps(coeff_ring):
     assert trace.added
     for element, row in zip(trace.basis, trace.certificates):
         assert naive.combination(coeff_ring, row, trace.generators) == naive.as_dict(element)
+
+
+class MixedWindowZZ(Integers):
+    """ZZ on the default kernel form whose odd heads leave [0, |b|) and even heads (-|b|/2, |b|/2].
+
+    A step by an even head can turn a miss by an odd head into a hit: 4
+    misses 5, and 6 reduces it to -2, which 5 reduces to 3.
+    """
+
+    name = "mixed-window-zz"
+
+    def reduce_step(self, c, b):
+        if b % 2 == 0:
+            return super().reduce_step(c, b)
+        d = c % abs(b)
+        return None if d == c else ((c - d) // b, d)
+
+    def _kernel_form(self):
+        return CoefficientRing._kernel_form(self)
+
+
+@pytest.mark.parametrize(
+    "strategy", [None, LowestTermStrategy(), SeededRandomStrategy(3)], ids=["default", "lowest-term", "seeded"]
+)
+def test_a_head_that_missed_is_tried_again_after_a_later_step(strategy):
+    coeff_ring = MixedWindowZZ()
+    ring = PolyRing(coeff_ring, ["x"])
+    (x,) = ring.gens()
+    basis = [5 * x, 6 * x]
+    remainder, cofactors = normal_form_with_cofactors(4 * x, basis, strategy)
+    assert all(coeff_ring.reduce_step(c, b.head_coeff) is None for c, _ in remainder.monomials for b in basis)
+    assert (remainder, cofactors) == (3 * x, [ring.constant(-1), ring.one()])
+    assert normal_form(4 * x, basis, strategy) == rescan.normal_form(4 * x, basis, strategy) == 3 * x
+
+
+def test_qq_steps_keep_misses_and_mixed_windows_do_not():
+    # ``axiom_checks.run_all_int`` and ``run_all_field`` check ZZ and GF(p).
+    axiom_checks.check_steps_keep_misses(Rationals(), {Fraction(n, d) for n in range(-6, 7) for d in range(1, 7)})
+    with pytest.raises(AssertionError):
+        axiom_checks.check_steps_keep_misses(MixedWindowZZ(), range(-8, 9))
