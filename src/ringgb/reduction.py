@@ -38,11 +38,15 @@ first one is the default path's step.
 
 Both paths find a term's reducers in one divisor index, ``_Reducers``
 (after the divisor lookups of Bachmann & Schoenemann, "Monomial
-representations for Groebner bases computations", ISSAC 1998), which
-remembers, per heap key, the dividing heads in basis order and how many
-heads it has tested.  ``complete`` keeps one for its whole run and
-appends each new element, so a term met again tests only the heads added
-since; ``is_groebner_basis`` keeps one for its pair walk,
+representations for Groebner bases computations", ISSAC 1998).  For each
+exponent slot it keeps the heads' distinct nonzero exponents, sorted,
+each with a bitmask of the heads whose exponent is larger; a head divides
+a term unless its bit is in a mask the term's exponents bisect to, so no
+head is tested on its own.  It also remembers, per heap key, the dividing
+heads in basis order and how many heads it has looked through.
+``complete`` keeps one for its whole run and appends each new
+element, so a term met again looks only at the heads added since;
+``is_groebner_basis`` keeps one for its pair walk,
 ``interreduce`` one for its pass, and each public call builds its own.
 These three also keep each step's shifted tail, so that a repeated step
 (most of a completion's steps are) is one dict read; a pair (i, j) at
@@ -55,10 +59,11 @@ candidate steps until a step changes its coefficient.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from math import inf
-from operator import add as add_int, ge, sub
+from operator import add as add_int, sub
 from typing import NamedTuple
 
 from .poly import Polynomial
@@ -140,7 +145,7 @@ def _prepare(p: Polynomial, basis):
 
 
 # The memo entry of a term never seen.  Its list is shared, so it is
-# only ever concatenated, never appended to.
+# only ever copied, never appended to.
 _NOT_SEEN = (0, [])
 
 
@@ -155,7 +160,14 @@ class _Reducers:
     ``memo`` maps a heap key to ``(n, divisors)``: the indexes, in basis
     order, of the heads among the first n that divide it.  The basis
     only grows, through ``append``, so an entry older than the basis is
-    extended by testing the new heads alone.
+    extended by the new heads alone.
+
+    Head i divides heap key kt exactly when each slot of i's key is >=
+    kt's.  Per exponent slot s (a deglex key's degree slot is implied by
+    the others), ``values[s]`` holds the heads' distinct nonzero values
+    ascending and ``below[s][k]`` the mask, bit i for head i, of those
+    < ``values[s][k]``, plus a last mask of those < 0: at most one of
+    each per head, whatever the exponents' size.
 
     With ``keep_tails``, ``tails`` maps ``(i, kt)`` to ``shift(i, kt)``:
     a step of reducer i at kt and a pair of i at lcm kt read the same
@@ -168,6 +180,9 @@ class _Reducers:
         self.form = self.ring.coeff_ring._kernel_form()
         self.keyed, self.heads, self.memo = [], [], {}
         self.tails = {} if keep_tails else None
+        self.first = 0 if self.ring.order.kind == "lex" else 1
+        self.values = [[] for _ in range(self.ring.nvars)]
+        self.below = [[0] for _ in self.values]
         for b in basis:
             self.append(b)
 
@@ -180,8 +195,17 @@ class _Reducers:
         enter = self.form.enter
         if enter is not None:
             keyed = tuple((enter(c), k) for c, k in keyed)
+        bit = 1 << len(self.heads)
         self.keyed.append(keyed)
         self.heads.append((keyed[0][1], self.form.prepare(keyed[0][0])))
+        for v, values, below in zip(keyed[0][1][self.first :], self.values, self.below):
+            if v:
+                k = bisect_left(values, v)
+                if k == len(values) or values[k] != v:
+                    values.insert(k, v)
+                    below.insert(k, below[k])
+                for j in range(k + 1, len(below)):
+                    below[j] |= bit
 
     def shift(self, i, kt, keep=True):
         """A new ``(ks, [(c, kb + ks), ...])``: ks the key of s with s*HT(i) at ``kt``, i's tail times s.
@@ -201,11 +225,18 @@ class _Reducers:
 
     def divisors(self, kt, entry=None):
         """Indexes of the heads dividing heap key ``kt`` in basis order; ``entry`` is its memo read."""
-        heads = self.heads
-        n = len(heads)
+        n = len(self.heads)
         start, found = entry or self.memo.get(kt, _NOT_SEEN)
         if start < n:
-            found = found + [i for i in range(start, n) if all(map(ge, heads[i][0], kt))]
+            fails = (1 << start) - 1  # the heads seen, then those too large in some slot
+            for v, values, below in zip(kt[self.first :], self.values, self.below):
+                fails |= below[bisect_left(values, v)]
+            mask = (1 << n) - 1 ^ fails
+            found = found[:]
+            while mask:
+                low = mask & -mask
+                found.append(low.bit_length() - 1)
+                mask ^= low
             self.memo[kt] = n, found
         return found
 

@@ -15,6 +15,7 @@ import random
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringgb import Integers, PolyRing, PrimeField, Rationals, complete
 from ringgb.pairs import combinations_for, records_of
@@ -28,7 +29,7 @@ from ringgb.reduction import (
     normal_form_with_cofactors,
     reduces_to_zero,
 )
-from ringgb.terms import TermOrder
+from ringgb.terms import TermOrder, term_divides
 
 import rescan_reduction
 from corpus import corpus
@@ -152,6 +153,74 @@ def test_divisor_memo_is_extended_by_the_appended_heads_only():
     assert reducers.memo[kt] == (4, [0, 1, 3])
     assert reducers.divisors(key((1, 0))) == [3]
     assert reducers.divisors(key((0, 0))) == []
+
+
+# Exponents small enough to divide one another, and as large as the CI's
+# runaway binomials.
+exponents = st.integers(0, 3) | st.sampled_from((99_999, 100_000)) | st.integers(0, 10**5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda nvars: st.tuples(
+            st.just(nvars),
+            st.sampled_from(("lex", "deglex")),
+            st.none() | st.permutations(range(nvars)),
+            st.lists(st.tuples(st.booleans(), st.tuples(*[exponents] * nvars), st.integers(0, 40)), max_size=30),
+        )
+    )
+)
+def test_divisor_index_finds_the_heads_a_test_of_every_head_finds(run):
+    # Appends interleave with lookups; a lookup may target a multiple of a
+    # head, and every term is looked up again at the end, so memo entries
+    # are extended from the basis length they were made at.
+    nvars, kind, precedence, ops = run
+    order = TermOrder(kind, precedence)
+    R = PolyRing(Rationals(), [f"x{i}" for i in range(nvars)], order)
+    reducers, heads, seen = _Reducers((), R), [], []
+
+    def check(t):
+        kt = order.heap_key(t)
+        expected = [i for i, h in enumerate(heads) if term_divides(h, t)]
+        assert reducers.divisors(kt) == expected
+        assert reducers.memo.get(kt, (0, [])) == (len(heads), expected)
+
+    for is_head, t, pick in ops:
+        if is_head:
+            reducers.append(R.monomial(1, t))
+            heads.append(t)
+            continue
+        if heads and pick % 2:
+            t = tuple(a + b % 4 for a, b in zip(heads[pick % len(heads)], t))
+        seen.append(t)
+        check(t)
+    for t in seen:
+        check(t)
+
+
+def test_divisor_index_does_not_grow_with_exponent_size():
+    # Heads shaped like the CI's runaway binomials and their multiples: the
+    # index holds the same number of thresholds per exponent slot, at most
+    # one per head, whether the exponents are 10 or 100000.
+    def index(order, e):
+        R = PolyRing(Rationals(), ["x", "y"], order)
+        x, y = R.gens()
+        gens = [x**e * y - 1, y**e * x - 1]
+        return _Reducers(gens + [g * x**i * y**j for g in gens for i in range(4) for j in range(4)])
+
+    for order in ("lex", "deglex"):
+        sizes = []
+        for e in (10, 100_000):
+            reducers = index(order, e)
+            n = len(reducers.heads)
+            assert len(reducers.values) == len(reducers.below) == 2  # no degree slot
+            for values, below in zip(reducers.values, reducers.below):
+                assert len(values) <= n
+                assert len(below) == len(values) + 1
+                assert all(0 <= mask < 1 << n for mask in below)
+            sizes.append([len(values) for values in reducers.values])
+        assert sizes[0] == sizes[1]
 
 
 def _completed(R, family):
