@@ -38,7 +38,7 @@ from .rings import (
     RingError,
     ring_from_string,
 )
-from .terms import TermOrder, term_div, term_divides, term_lcm, term_mul
+from .terms import TermOrder
 
 __version__ = "0.1.0"
 
@@ -71,8 +71,4 @@ __all__ = [
     "RingError",
     "ring_from_string",
     "TermOrder",
-    "term_div",
-    "term_divides",
-    "term_lcm",
-    "term_mul",
 ]

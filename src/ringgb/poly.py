@@ -46,6 +46,8 @@ class PolyRing:
             raise ValueError("variable names must be distinct")
         if isinstance(order, str):
             order = TermOrder(order)
+        elif not isinstance(order, TermOrder):
+            raise ValueError(f"bad term order {order!r}; expected 'lex', 'deglex' or a TermOrder")
         if order.precedence is not None and len(order.precedence) != len(names):
             raise ValueError("order precedence length does not match variable count")
         self.coeff_ring = coeff_ring

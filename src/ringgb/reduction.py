@@ -43,9 +43,9 @@ exponent slot it keeps the heads' distinct nonzero exponents, sorted,
 each with a bitmask of the heads whose exponent is larger; a head divides
 a term unless its bit is in a mask the term's exponents bisect to, so no
 head is tested on its own.  It also remembers, per heap key, the dividing
-heads in basis order and how many heads it has looked through.
+heads in basis order, until the next append empties that memo.
 ``complete`` keeps one for its whole run and appends each new
-element, so a term met again looks only at the heads added since;
+element, so a term met again between two appends is one dict read;
 ``is_groebner_basis`` keeps one for its pair walk,
 ``interreduce`` one for its pass, and each public call builds its own.
 These three also keep each step's shifted tail, so that a repeated step
@@ -144,11 +144,6 @@ def _prepare(p: Polynomial, basis):
     return {k: enter(c) for c, k in p.keyed_monomials()}, reducers
 
 
-# The memo entry of a term never seen.  Its list is shared, so it is
-# only ever copied, never appended to.
-_NOT_SEEN = (0, [])
-
-
 class _Reducers:
     """The basis as the reduction loop reads it, plus a memo of each term's divisors.
 
@@ -157,10 +152,9 @@ class _Reducers:
     ring.  ``form`` is the ``_KernelForm`` of its coefficients.
     ``keyed[i]`` holds basis element i's keyed monomials in that form,
     and ``heads[i]`` its head as ``(heap key, prepared coefficient)``.
-    ``memo`` maps a heap key to ``(n, divisors)``: the indexes, in basis
-    order, of the heads among the first n that divide it.  The basis
-    only grows, through ``append``, so an entry older than the basis is
-    extended by the new heads alone.
+    ``memo`` maps a heap key to the indexes, in basis order, of the
+    heads that divide it.  ``append`` empties it in place, as readers
+    may hold the dict itself.
 
     Head i divides heap key kt exactly when each slot of i's key is >=
     kt's.  Per exponent slot s (a deglex key's degree slot is implied by
@@ -196,6 +190,7 @@ class _Reducers:
         if enter is not None:
             keyed = tuple((enter(c), k) for c, k in keyed)
         bit = 1 << len(self.heads)
+        self.memo.clear()
         self.keyed.append(keyed)
         self.heads.append((keyed[0][1], self.form.prepare(keyed[0][0])))
         for v, values, below in zip(keyed[0][1][self.first :], self.values, self.below):
@@ -223,21 +218,19 @@ class _Reducers:
         entry = None if self.tails is None else self.tails.get((i, kt))
         return entry or self.shift(i, kt, keep)
 
-    def divisors(self, kt, entry=None):
-        """Indexes of the heads dividing heap key ``kt`` in basis order; ``entry`` is its memo read."""
-        n = len(self.heads)
-        start, found = entry or self.memo.get(kt, _NOT_SEEN)
-        if start < n:
-            fails = (1 << start) - 1  # the heads seen, then those too large in some slot
+    def divisors(self, kt):
+        """Indexes of the heads dividing heap key ``kt``, in basis order."""
+        found = self.memo.get(kt)
+        if found is None:
+            fails = 0  # the heads too large in some slot
             for v, values, below in zip(kt[self.first :], self.values, self.below):
                 fails |= below[bisect_left(values, v)]
-            mask = (1 << n) - 1 ^ fails
-            found = found[:]
+            mask = (1 << len(self.heads)) - 1 ^ fails
+            found = self.memo[kt] = []
             while mask:
                 low = mask & -mask
                 found.append(low.bit_length() - 1)
                 mask ^= low
-            self.memo[kt] = n, found
         return found
 
 
@@ -300,7 +293,7 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
     select = None if default else strategy.select
     known = {}  # the candidate steps of pending terms, for ``_steps``
     heads, memo, tails = reducers.heads, reducers.memo, reducers.tails
-    divisors_of, shift, count = reducers.divisors, reducers.shift, len(heads)
+    divisors_of, shift = reducers.divisors, reducers.shift
     used, limit = (0, inf) if budget is None else (budget.used, budget.limit)
     limit = inf if limit is None else limit
     # A coefficient that cancels stays in ``acc`` as a zero entry, so
@@ -312,8 +305,9 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
         c = acc.pop(kt)
         if is_zero(c):
             continue
-        entry = memo.get(kt, _NOT_SEEN)
-        divisors = entry[1] if entry[0] == count else divisors_of(kt, entry)
+        divisors = memo.get(kt)
+        if divisors is None:
+            divisors = divisors_of(kt)
         # Resume after each hit, and scan once more after a round with a hit.
         scan, again = iter(divisors), False
         while True:

@@ -248,6 +248,9 @@ def test_construction_validation():
         PolyRing(Rationals(), [f"v{i}" for i in range(17)])
     with pytest.raises(ValueError):
         PolyRing(Rationals(), ["x", "y"], TermOrder("lex", precedence=(0, 1, 2)))
+    for order in (5, None):
+        with pytest.raises(ValueError, match="'lex', 'deglex' or a TermOrder"):
+            PolyRing(Rationals(), ["x"], order)
     with pytest.raises(ValueError):
         QQ_XY.from_monomials([(1, (1, 0, 0))])
     with pytest.raises(ValueError):

@@ -137,20 +137,22 @@ def test_kernel_matches_rescan_on_corpus_bases():
     assert steps > 1000
 
 
-def test_divisor_memo_is_extended_by_the_appended_heads_only():
+def test_divisor_memo_holds_the_current_basis_answer_and_append_empties_it():
     R = PolyRing(Rationals(), ["x", "y"], "deglex")
     x, y = R.gens()
     key = R.order.heap_key
     reducers = _Reducers([x**2 * y, y**2 - x])
     kt = key((2, 2))
     assert reducers.divisors(kt) == [0, 1]
-    assert reducers.memo[kt] == (2, [0, 1])
+    assert reducers.memo[kt] == [0, 1]
     # The first new head does not divide x^2*y^2; the second does and
     # sorts below both older heads.
     reducers.append(x * y**3 + 1)
+    assert reducers.memo == {}
     reducers.append(x + y)
+    assert reducers.memo == {}
     assert reducers.divisors(kt) == [0, 1, 3]
-    assert reducers.memo[kt] == (4, [0, 1, 3])
+    assert reducers.memo[kt] == [0, 1, 3]
     assert reducers.divisors(key((1, 0))) == [3]
     assert reducers.divisors(key((0, 0))) == []
 
@@ -173,8 +175,8 @@ exponents = st.integers(0, 3) | st.sampled_from((99_999, 100_000)) | st.integers
 )
 def test_divisor_index_finds_the_heads_a_test_of_every_head_finds(run):
     # Appends interleave with lookups; a lookup may target a multiple of a
-    # head, and every term is looked up again at the end, so memo entries
-    # are extended from the basis length they were made at.
+    # head, and every term is looked up again at the end, so terms are
+    # looked up again after the appends that emptied the memo.
     nvars, kind, precedence, ops = run
     order = TermOrder(kind, precedence)
     R = PolyRing(Rationals(), [f"x{i}" for i in range(nvars)], order)
@@ -184,11 +186,12 @@ def test_divisor_index_finds_the_heads_a_test_of_every_head_finds(run):
         kt = order.heap_key(t)
         expected = [i for i, h in enumerate(heads) if term_divides(h, t)]
         assert reducers.divisors(kt) == expected
-        assert reducers.memo.get(kt, (0, [])) == (len(heads), expected)
+        assert reducers.memo[kt] == expected
 
     for is_head, t, pick in ops:
         if is_head:
             reducers.append(R.monomial(1, t))
+            assert reducers.memo == {}
             heads.append(t)
             continue
         if heads and pick % 2:
