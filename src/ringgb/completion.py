@@ -240,7 +240,7 @@ def ideal_membership(
     if remainder:
         return MembershipResult(False, None, remainder)
     rows = _fill_rows(p.ring, trace._rows, [m for m, _, _ in steps])
-    certificate = _row_polynomials(p.ring, _row_sum(reducers.form, rows, steps), len(trace.generators))
+    certificate = _row_polynomials(p.ring, _row_sum(reducers.form, p.ring.order, rows, steps), len(trace.generators))
     return MembershipResult(True, certificate, remainder)
 
 

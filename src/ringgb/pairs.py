@@ -10,13 +10,13 @@ integers both kinds matter.  Pairs are enough because the shipped
 coefficient rings are principal ideal domains.
 
 A record is ``(i, j, kl, kind)``, kl the heap key of the heads' lcm,
-which ``TermOrder.key_lcm`` takes from their keys in the completion's
-``reduction._Reducers``.  ``records_of`` lists one element's records
-for ``PairQueue`` and ``is_groebner_basis``, and ``combinations_for``
-builds one record's polynomials.  Their coefficients are the rows that
-the ring's ``_kernel_form().pair_rows`` gives for the prepared heads:
-int arithmetic for the shipped rings, the ring's ``groebner`` and
-``syzygies`` for a ring on the default form.
+one int, which ``PackedOrder.key_lcm`` takes from their keys in the
+completion's ``reduction._Reducers``.  ``records_of`` lists one
+element's records for ``PairQueue`` and ``is_groebner_basis``, and
+``combinations_for`` builds one record's polynomials.  Their
+coefficients are the rows that the ring's ``_kernel_form().pair_rows``
+gives for the prepared heads: int arithmetic for the shipped rings, the
+ring's ``groebner`` and ``syzygies`` for a ring on the default form.
 
 ``PairQueue`` is the pair policy of ``complete``: it pops records
 smallest-lcm-first and yields every one over ``zz``.  Over a field
@@ -24,14 +24,14 @@ smallest-lcm-first and yields every one over ``zz``.  Over a field
 S-polynomials whose reduction is known to be unnecessary, in the
 "pairs already treated" form (Buchberger, 1979; Becker & Weispfenning,
 *Groebner Bases*, 1993, chapter 5).  The product criterion skips a
-pair whose head terms are coprime.  The chain criterion skips a pair
-(i, j) when some other element k has a head dividing lcm(i, j) and
-neither (i, k) nor (j, k) is still queued: both were treated, so the
-S-polynomial of (i, j) has a representation below its lcm through
-theirs.  A skipped record counts as treated.  The chain criterion asks
-the divisor index of the ``_Reducers`` which heads divide the lcm.
-Over ``zz`` the criteria would need conditions on the head
-coefficients.  Each queued record costs one unit of the completion's
+pair whose head terms are coprime: their keys sum to the lcm's.  The
+chain criterion skips a pair (i, j) when some other element k has a
+head dividing lcm(i, j) and neither (i, k) nor (j, k) is still queued:
+both were treated, so the S-polynomial of (i, j) has a representation
+below its lcm through theirs.  A skipped record counts as treated.
+The chain criterion asks the divisor index of the ``_Reducers`` which
+heads divide the lcm.  Over ``zz`` the criteria would need conditions
+on the head coefficients.  Each queued record costs one unit of the completion's
 ``StepBudget``: an input whose pair polynomials need no reduction step
 still grows the queue quadratically in the basis size, and the limit
 bounds that growth too.
@@ -47,7 +47,6 @@ coefficient`` dict, the kernel's input (see ``reduction``), so no
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from operator import add, neg
 
 GCD = "gcd"
 SYZYGY = "syzygy"
@@ -108,9 +107,9 @@ class PairQueue:
     """The records ``complete`` has still to treat, under the policy above.
 
     ``add(j)`` queues the ``records_of`` element j, already appended to
-    ``reducers``, charging ``budget`` one unit each.  An entry is the
-    lcm's negated heap key (its term's sort vector) then the record, so
-    ties go by index pair, gcd before syzygy (``"gcd" < "syzygy"``).
+    ``reducers``, charging ``budget`` one unit each.  An entry is minus
+    the lcm's heap key, its packed sort vector, then the record, so ties
+    go by index pair, gcd before syzygy (``"gcd" < "syzygy"``).
     Iterating yields the popped records that no criterion skips; the
     basis may grow meanwhile.  ``popped`` counts every popped record,
     and ``product`` and ``chain`` those each criterion skipped.
@@ -128,7 +127,7 @@ class PairQueue:
         heap, spend = self.heap, self.budget.spend
         for record in records_of(self.reducers, j):
             spend()
-            heappush(heap, (*map(neg, record[2]), *record))
+            heappush(heap, (-record[2], *record))
         if self.field:
             self.pending.update((i, j) for i in range(j))
 
@@ -136,12 +135,12 @@ class PairQueue:
         heap, pending, reducers = self.heap, self.pending, self.reducers
         heads = reducers.heads
         while heap:
-            record = heappop(heap)[-4:]
+            record = heappop(heap)[1:]
             self.popped += 1
             if self.field:
                 i, j, kl, _ = record
                 pending.discard((i, j))
-                if kl == tuple(map(add, heads[i][0], heads[j][0])):
+                if kl == heads[i][0] + heads[j][0]:
                     self.product += 1  # coprime head terms: the S-polynomial reduces to zero
                     continue
                 # A head k dividing the lcm, with (i, k) and (j, k) both treated.

@@ -7,23 +7,24 @@ order, no zero coefficients, coefficients in ring-canonical form.  The
 zero polynomial has no monomials.
 
 A ``Polynomial`` stores one form, its keyed monomials: (coefficient,
-heap key) pairs with the keys of ``TermOrder.heap_key`` ascending.
-Terms are derived from the keys only where they are read.  The sums of
-monomial multiples that build polynomials, ``from_monomials`` and the
-operators, are accumulated by ``PolyRing._combine`` in one ``heap key
--> coefficient`` dict, which ``PolyRing._from_keyed`` sorts once.  Pair
-polynomials and certificates are summed in the reduction loop's
-coefficient form instead (see ``pairs`` and ``reduction``).
+heap key) pairs with the keys ascending, each key one int, the
+``heap_key`` of the ring's ``terms.PackedOrder``.  Terms are derived
+from the keys only where they are read.  The sums of monomial multiples
+that build polynomials, ``from_monomials`` and the operators, are
+accumulated by ``PolyRing._combine`` in one ``heap key -> coefficient``
+dict, which ``PolyRing._from_keyed`` sorts once; a product is checked
+once against the bound on degrees.  Pair polynomials and certificates
+are summed in the reduction loop's coefficient form instead (see
+``pairs`` and ``reduction``).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add as add_int
 
 from .rings import CoefficientRing, RingError
-from .terms import TermOrder
+from .terms import TermOrder, packed_order
 
 MAX_VARIABLES = 16
 
@@ -52,7 +53,7 @@ class PolyRing:
             raise ValueError("order precedence length does not match variable count")
         self.coeff_ring = coeff_ring
         self.variables = names
-        self.order = order
+        self.order = packed_order(order, len(names))
         self._index = {name: i for i, name in enumerate(names)}
         self._zero = Polynomial(self, keyed=())
 
@@ -156,7 +157,7 @@ class PolyRing:
             if c is not None:
                 if is_zero(c):
                     continue
-                monos = [(mul(cm, c), tuple(map(add_int, km, ks))) for cm, km in monos]
+                monos = [(mul(cm, c), km + ks) for cm, km in monos]
             for cm, km in monos:
                 old = get(km)
                 if old is None:
@@ -267,6 +268,8 @@ class Polynomial:
         other = self.ring._coerce(other)
         if other is None:
             return NotImplemented
+        order = self.ring.order
+        order.check(order.key_bound(self._keyed) + order.key_bound(other._keyed))
         parts = [(self._keyed, c, k) for c, k in other._keyed]
         return self.ring._from_keyed(self.ring._combine(parts))
 
@@ -285,6 +288,8 @@ class Polynomial:
         ring = self.ring
         coeff = ring.coeff_ring.element(coeff)
         ks = ring.order.heap_key(ring._check_term(term))
+        if ks:
+            ring.order.check(ring.order.key_bound(self._keyed) + ks)
         return ring._from_keyed(ring._combine([(self._keyed, coeff, ks)]))
 
     def scale(self, coeff) -> "Polynomial":

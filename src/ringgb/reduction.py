@@ -10,11 +10,12 @@ One in-place loop serves every strategy, after the mutable accumulators
 of Monagan & Pearce ("Sparse polynomial division using a heap", JSC 46,
 2011) and Yan ("The geobucket data structure for polynomials", JSC 25,
 1998): a ``heap key -> coefficient`` dict of the pending terms and a
-heap of their keys (``TermOrder.heap_key``).  It pops the largest pending
-term, subtracts each step's k*s*tail(b) into the dict, and emits the
-term once it has no valid step, so the remainder comes out sorted.  It
-computes in the ring's ``_kernel_form`` (int pairs over QQ, plain ints
-over GF(p) and ZZ, heads prepared once).  For cofactors each step only
+heap of their keys, one int per term (``terms.PackedOrder``), so a
+shifted tail term is one addition.  It pops the largest pending term,
+subtracts each step's k*s*tail(b) into the dict, and emits the term once
+it has no valid step, so the remainder comes out sorted.  It computes in
+the ring's ``_kernel_form`` (int pairs over QQ, plain ints over GF(p)
+and ZZ, heads prepared once).  For cofactors each step only
 appends ``(reducer, k, cofactor heap key)`` to a list, k in that form,
 which ``_row_sum`` sums into rows.  Outside this module
 ``combinations_for``, ``complete`` and ``interreduce`` compute in the
@@ -39,7 +40,7 @@ first one is the default path's step.
 Both paths find a term's reducers in one divisor index, ``_Reducers``
 (after the divisor lookups of Bachmann & Schoenemann, "Monomial
 representations for Groebner bases computations", ISSAC 1998).  For each
-exponent slot it keeps the heads' distinct nonzero exponents, sorted,
+variable it keeps the heads' distinct nonzero exponents, sorted,
 each with a bitmask of the heads whose exponent is larger; a head divides
 a term unless its bit is in a mask the term's exponents bisect to, so no
 head is tested on its own.  It also remembers, per heap key, the dividing
@@ -63,7 +64,6 @@ from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from math import inf
-from operator import add as add_int, sub
 from typing import NamedTuple
 
 from .poly import Polynomial
@@ -156,12 +156,14 @@ class _Reducers:
     heads that divide it.  ``append`` empties it in place, as readers
     may hold the dict itself.
 
-    Head i divides heap key kt exactly when each slot of i's key is >=
-    kt's.  Per exponent slot s (a deglex key's degree slot is implied by
-    the others), ``values[s]`` holds the heads' distinct nonzero values
-    ascending and ``below[s][k]`` the mask, bit i for head i, of those
-    < ``values[s][k]``, plus a last mask of those < 0: at most one of
-    each per head, whatever the exponents' size.
+    Head i divides a term exactly when each of i's exponents is <= the
+    term's.  Per variable s, ``values[s]`` holds the heads' distinct
+    nonzero exponents, negated, ascending and ``below[s][k]`` the mask,
+    bit i for head i, of those < ``values[s][k]``, plus a last mask of
+    those < 0: at most one of each per head, whatever the exponents'
+    size.  A key is unpacked for this only when it is a head's or a memo
+    miss.  ``bounds[i]`` is the ``tail_bound`` of element i, which
+    ``shift`` checks each shifted tail against once.
 
     With ``keep_tails``, ``tails`` maps ``(i, kt)`` to ``shift(i, kt)``:
     a step of reducer i at kt and a pair of i at lcm kt read the same
@@ -172,9 +174,8 @@ class _Reducers:
     def __init__(self, basis, ring=None, *, keep_tails=False):
         self.ring = basis[0].ring if ring is None else ring
         self.form = self.ring.coeff_ring._kernel_form()
-        self.keyed, self.heads, self.memo = [], [], {}
+        self.keyed, self.heads, self.bounds, self.memo = [], [], [], {}
         self.tails = {} if keep_tails else None
-        self.first = 0 if self.ring.order.kind == "lex" else 1
         self.values = [[] for _ in range(self.ring.nvars)]
         self.below = [[0] for _ in self.values]
         for b in basis:
@@ -193,8 +194,10 @@ class _Reducers:
         self.memo.clear()
         self.keyed.append(keyed)
         self.heads.append((keyed[0][1], self.form.prepare(keyed[0][0])))
-        for v, values, below in zip(keyed[0][1][self.first :], self.values, self.below):
-            if v:
+        self.bounds.append(self.ring.order.tail_bound(keyed))
+        for e, values, below in zip(self.ring.order.term_from_heap_key(keyed[0][1]), self.values, self.below):
+            if e:
+                v = -e
                 k = bisect_left(values, v)
                 if k == len(values) or values[k] != v:
                     values.insert(k, v)
@@ -206,9 +209,11 @@ class _Reducers:
         """A new ``(ks, [(c, kb + ks), ...])``: ks the key of s with s*HT(i) at ``kt``, i's tail times s.
 
         It is stored in ``tails`` when ``keep`` and the index keeps tails.
+        It raises ``ValueError`` when a term of it would pass the bound.
         """
-        ks = tuple(map(sub, kt, self.heads[i][0]))
-        entry = ks, [(cb, tuple(map(add_int, kb, ks))) for cb, kb in islice(self.keyed[i], 1, None)]
+        ks = kt - self.heads[i][0]
+        self.ring.order.check(self.bounds[i] + ks)
+        entry = ks, [(cb, kb + ks) for cb, kb in islice(self.keyed[i], 1, None)]
         if keep and self.tails is not None:
             self.tails[i, kt] = entry
         return entry
@@ -222,9 +227,9 @@ class _Reducers:
         """Indexes of the heads dividing heap key ``kt``, in basis order."""
         found = self.memo.get(kt)
         if found is None:
-            fails = 0  # the heads too large in some slot
-            for v, values, below in zip(kt[self.first :], self.values, self.below):
-                fails |= below[bisect_left(values, v)]
+            fails = 0  # the heads with a larger exponent
+            for e, values, below in zip(self.ring.order.term_from_heap_key(kt), self.values, self.below):
+                fails |= below[bisect_left(values, -e)]
             mask = (1 << len(self.heads)) - 1 ^ fails
             found = self.memo[kt] = []
             while mask:
@@ -261,7 +266,7 @@ def _steps(acc: dict, reducers: _Reducers, known: dict):
             if hit is not None:
                 if leave is not None:
                     hit = map(leave, hit)
-                steps.append(ReductionStep(i, term_of(kt), term_of(tuple(map(sub, kt, kh))), *hit))
+                steps.append(ReductionStep(i, term_of(kt), term_of(kt - kh), *hit))
         known[kt] = c, steps
         yield from steps
 
@@ -383,7 +388,7 @@ def normal_form_with_cofactors(p: Polynomial, basis, strategy=None, budget=None)
     steps = []
     q = _normal_form_keyed(acc, reducers, strategy, budget, steps)
     count = len(reducers.keyed)
-    row = _row_sum(reducers.form, _unit_rows(reducers.form, p.ring, range(count)), steps)
+    row = _row_sum(reducers.form, p.ring.order, _unit_rows(reducers.form, p.ring, range(count)), steps)
     return q, list(_row_polynomials(p.ring, row, count))
 
 
@@ -392,32 +397,34 @@ def reduces_to_zero(p: Polynomial, basis) -> bool:
     return next(_reduce(*_prepare(p, basis), None, None, None), None) is None
 
 
-# Rows.  A row is a tuple of ``(g, keyed)``, one for each g (a generator,
-# or a reducer for cofactors) with a nonzero entry, in ascending g;
-# ``keyed`` holds the entry's monomials as ``Polynomial`` keeps them,
-# with coefficients in the loop's form.
+# Rows.  A row is a tuple of ``(g, keyed, bound)``, one for each g (a
+# generator, or a reducer for cofactors) with a nonzero entry, in
+# ascending g; ``keyed`` holds the entry's monomials as ``Polynomial``
+# keeps them, with coefficients in the loop's form, and ``bound`` is
+# their ``key_bound``, so each part of a sum is checked once.
 
 
 def _unit_rows(form, ring, indexes) -> list:
     """The row of each g in ``indexes`` whose one entry, at g, is 1."""
     ((one, key),) = ring.one().keyed_monomials()
     entry = ((one if form.enter is None else form.enter(one), key),)
-    return [((g, entry),) for g in indexes]
+    return [((g, entry, key),) for g in indexes]
 
 
-def _row_sum(form, rows, parts) -> tuple:
+def _row_sum(form, order, rows, parts) -> tuple:
     """The row sum(c*s*rows[m]) over ``(m, c, heap key of s)`` parts, c in ``form``."""
     mul, add, is_zero = form.mul, form.add, form.is_zero
     sums: dict = {}  # per g, heap key -> coefficient
     for m, c, ks in parts:
-        for g, keyed in rows[m]:
+        for g, keyed, bound in rows[m]:
+            order.check(bound + ks)
             acc = sums.setdefault(g, {})
             for cm, km in keyed:
-                ku = tuple(map(add_int, km, ks))
+                ku = km + ks
                 old = acc.get(ku)
                 acc[ku] = mul(cm, c) if old is None else add(old, mul(cm, c))
     row = ((g, tuple((acc[k], k) for k in sorted(acc) if not is_zero(acc[k]))) for g, acc in sorted(sums.items()))
-    return tuple((g, keyed) for g, keyed in row if keyed)
+    return tuple((g, keyed, order.key_bound(keyed)) for g, keyed in row if keyed)
 
 
 def _fill_rows(ring, rows, wanted) -> list:
@@ -438,7 +445,7 @@ def _fill_rows(ring, rows, wanted) -> list:
     for m in sorted(reached):
         parts = rows[m]
         if type(parts) is list:  # else another thread has summed it since
-            rows[m] = _row_sum(form, rows, parts)
+            rows[m] = _row_sum(form, ring.order, rows, parts)
     return rows
 
 
@@ -446,6 +453,6 @@ def _row_polynomials(ring, row, count) -> tuple:
     """The ``count`` entries of ``row`` as polynomials over ``ring``, zero where it has none."""
     leave = ring.coeff_ring._kernel_form().leave
     polys = [ring.zero()] * count
-    for g, keyed in row:
+    for g, keyed, _ in row:
         polys[g] = Polynomial(ring, keyed=keyed if leave is None else tuple((leave(c), k) for c, k in keyed))
     return tuple(polys)

@@ -159,6 +159,23 @@ def test_input_errors_exit_2(args):
     assert "error:" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # An input exponent at or above the bound.
+        ("nf", "--ring", "qq", "--vars", "x,y", "x^99999999999999999999*y", "y^2 - 1"),
+        # Valid inputs whose normal form would hold y^3000000000.
+        ("nf", "--ring", "qq", "--vars", "x,y", "x^3", "x - y^1000000000"),
+    ],
+    ids=["input", "overflow"],
+)
+def test_exponents_past_the_bound_exit_2(args):
+    result = invoke(*args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: exponent or total degree out of range: the bound is 2^31 = 2147483648\n"
+
+
 def test_non_ascii_digit_exits_2():
     result = invoke("gb", "--ring", "qq", "--vars", "x", "\u0663*x - \uff16")
     assert result.returncode == 2

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -235,6 +236,18 @@ def test_ring_equality_across_instances():
     assert PolyRing(Integers(), ["x", "y"]) != QQ_XY
     with pytest.raises(ValueError):
         QQ_XY.gens()[0] + PolyRing(Integers(), ["x", "y"]).gens()[0]
+
+
+def test_polynomials_pickle_with_their_packed_order():
+    # A ring's packed order holds a Struct, which does not pickle; it
+    # pickles as its order and variable count, and the copy shares the
+    # order object that every ring of that order and size uses.
+    rng = random.Random(58)
+    for ring in RINGS:
+        p = random_poly(rng, ring)
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and q.keyed_monomials() == p.keyed_monomials()
+        assert q.ring.order is ring.order
 
 
 def test_construction_validation():

@@ -183,7 +183,7 @@ def test_divisor_index_finds_the_heads_a_test_of_every_head_finds(run):
     reducers, heads, seen = _Reducers((), R), [], []
 
     def check(t):
-        kt = order.heap_key(t)
+        kt = R.order.heap_key(t)  # the ring's packed key; ``order`` alone gives the vector
         expected = [i for i, h in enumerate(heads) if term_divides(h, t)]
         assert reducers.divisors(kt) == expected
         assert reducers.memo[kt] == expected

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from ringgb.terms import TermOrder, term_div, term_divides, term_lcm, term_mul
+from ringgb import PolyRing, Rationals
+from ringgb.reduction import _Reducers, _row_sum
+from ringgb.terms import DEGREE_BOUND, TermOrder, term_div, term_divides, term_lcm, term_mul
 
 
 def random_term(rng, nvars=3, max_exp=4):
@@ -118,17 +120,22 @@ def test_heap_key_sorts_descending(order):
 
 @pytest.mark.parametrize("order", HEAP_KEY_ORDERS, ids=repr)
 def test_heap_key_is_additive_and_invertible(order):
+    # A ring's order packs each key into one int.  s divides t exactly
+    # when t's exponents minus s's, ks - kt, are below zero in no field:
+    # then adding them to the guard bits borrows none of them away.
+    packed = PolyRing(Rationals(), ["x", "y", "z"], order).order
+    guard = packed.guard
     rng = random.Random(9)
     for _ in range(300):
         s, t = random_term(rng), random_term(rng)
-        ks, kt = order.heap_key(s), order.heap_key(t)
-        assert order.term_from_heap_key(ks) == s
-        assert order.heap_key(term_mul(s, t)) == tuple(a + b for a, b in zip(ks, kt))
-        assert term_divides(s, t) == all(a >= b for a, b in zip(ks, kt))
+        ks, kt = packed.heap_key(s), packed.heap_key(t)
+        assert packed.term_from_heap_key(ks) == s
+        assert packed.heap_key(term_mul(s, t)) == ks + kt
+        assert term_divides(s, t) == ((guard - kt + ks) & guard == guard)
 
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 exponents = st.integers(0, 6) | st.integers(0, 2**70)
 term_pairs = st.integers(1, 4).flatmap(
@@ -149,3 +156,90 @@ def test_lcm_on_heap_keys_is_the_heap_key_of_the_lcm(pair, kind, rnd):
         assert order.key_lcm(ks, kt) == order.heap_key(term_lcm(s, t))
         assert order.key_lcm(ks, ks) == ks
         assert order.key_lcm(ks, kt) == order.key_lcm(kt, ks)
+
+
+small = st.integers(0, 3)
+bounded = small | st.integers(0, DEGREE_BOUND - 1)
+
+
+@st.composite
+def packed_cases(draw):
+    """An order on 1-16 variables and two terms, the second often a multiple of the first."""
+    nvars = draw(st.integers(1, 16))
+    order = TermOrder(draw(st.sampled_from(["lex", "deglex"])), draw(st.none() | st.permutations(range(nvars))))
+    s = draw(st.tuples(*[bounded] * nvars))
+    t = draw(st.tuples(*[bounded] * nvars) | st.tuples(*[small] * nvars).map(lambda d: term_mul(s, d)))
+    return nvars, order, s, t
+
+
+@settings(max_examples=400, deadline=None)
+@given(packed_cases())
+# Valid terms whose lcm passes the degree bound, and a lex tail that passes
+# the exponent bound where its head does not.
+@example((2, TermOrder("deglex"), (DEGREE_BOUND - 1, 0), (0, DEGREE_BOUND - 1)))
+@example((2, TermOrder("lex"), (1, DEGREE_BOUND // 2 - 1), (0, DEGREE_BOUND // 2 + 2)))
+def test_packed_keys_agree_with_the_tuple_helpers(case):
+    # Every term whose key fields stay below the bound has a packed key,
+    # and the kernel's operations on keys match the tuple helpers; past
+    # the bound each of them raises instead of forming a key.
+    nvars, order, s, t = case
+    ring = PolyRing(Rationals(), [f"x{i}" for i in range(nvars)], order)
+    packed = ring.order
+
+    def key(term):
+        if (sum(term) if order.kind == "deglex" else max(term)) >= DEGREE_BOUND:
+            with pytest.raises(ValueError, match=r"2\^31 = 2147483648"):
+                packed.heap_key(term)
+            return None
+        k = packed.heap_key(term)
+        assert packed.term_from_heap_key(k) == term
+        return k
+
+    ks, kt = key(s), key(t)
+    if ks is None or kt is None:
+        return
+    assert (ks < kt) == (order.sort_key(s) > order.sort_key(t))
+    assert (ks == kt) == (s == t)
+    product, lcm = key(term_mul(s, t)), key(term_lcm(s, t))
+    # Each place that sums keys checks the sum: products of polynomials,
+    # monomial multiples and certificate rows.
+    x, y = ring.monomial(1, s), ring.monomial(1, t)
+    form = ring.coeff_ring._kernel_form()
+    one = form.enter(1)
+    for form_sum in (
+        lambda: packed.check(ks + kt),
+        lambda: x * y,
+        lambda: x.mul_monomial(1, t),
+        lambda: _row_sum(form, packed, [((0, ((one, ks),), ks),)], [(0, one, kt)]),
+    ):
+        if product is None:
+            with pytest.raises(ValueError, match="out of range"):
+                form_sum()
+        else:
+            form_sum()
+    if product is not None:
+        assert ks + kt == product
+        assert (x * y).keyed_monomials() == ((1, product),)
+    if lcm is None:
+        with pytest.raises(ValueError, match="out of range"):
+            packed.key_lcm(ks, kt)
+    else:
+        assert packed.key_lcm(ks, kt) == packed.key_lcm(kt, ks) == lcm
+    # The bound of a set of keys holds their largest exponents.
+    assert packed.term_from_heap_key(packed.key_bound([(1, ks), (1, kt)])) == term_lcm(s, t)
+    # A shifted tail is checked once, against its polynomial's tail bound:
+    # when s times the head is a term, the check passes exactly when s
+    # times the tail is one too.
+    if s != t and key(term_mul(max(s, t, key=order.sort_key), s)) is not None:
+        p = ring.from_monomials([(1, s), (1, t)])
+        fits = key(term_mul(min(s, t, key=order.sort_key), s)) is not None
+        try:
+            packed.check(packed.tail_bound(p.keyed_monomials()) + ks)
+        except ValueError:
+            assert not fits
+        else:
+            assert fits
+    heads = (s, t)
+    reducers = _Reducers([ring.monomial(1, h) for h in heads])
+    for term, k in ((s, ks), (t, kt)):
+        assert reducers.divisors(k) == [i for i, h in enumerate(heads) if term_divides(h, term)]
