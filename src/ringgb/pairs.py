@@ -55,10 +55,11 @@ SYZYGY = "syzygy"
 def records_of(reducers, j: int):
     """The records of the pairs (i, j), i < j, of ``reducers``, i ascending; over a field syzygies only."""
     heads, key_lcm = reducers.heads, reducers.ring.order.key_lcm
-    kinds = (SYZYGY,) if reducers.ring.coeff_ring.is_field else (GCD, SYZYGY)
+    field = reducers.ring.coeff_ring.is_field
+    kinds = (SYZYGY,) if field else (GCD, SYZYGY)
     kj = heads[j][0]
     for i in range(j):
-        kl = key_lcm(heads[i][0], kj)
+        kl = key_lcm(heads[i][0], kj, field)  # over a field, coprime heads' ki + kj unchecked: never built
         for kind in kinds:
             yield i, j, kl, kind
 

@@ -55,7 +55,6 @@ class PolyRing:
         self.variables = names
         self.order = packed_order(order, len(names))
         self._index = {name: i for i, name in enumerate(names)}
-        self._zero = Polynomial(self, keyed=())
 
     @property
     def nvars(self) -> int:
@@ -87,7 +86,7 @@ class PolyRing:
     # -- construction ------------------------------------------------------
 
     def zero(self) -> "Polynomial":
-        return self._zero
+        return Polynomial(self, keyed=())
 
     def one(self) -> "Polynomial":
         return self.constant(1)
@@ -107,7 +106,7 @@ class PolyRing:
         term = self._check_term(term)
         c = self.coeff_ring.element(coeff)
         if self.coeff_ring.is_zero(c):
-            return self._zero
+            return self.zero()
         return Polynomial(self, keyed=((c, self.order.heap_key(term)),))
 
     def from_monomials(self, monomials) -> "Polynomial":
@@ -174,7 +173,7 @@ class PolyRing:
         # The one construction from a sum: a trusted ``heap key ->
         # coefficient`` map with no zero entries, as ``_combine`` returns.
         if not mapping:
-            return self._zero
+            return self.zero()
         keys = sorted(mapping)
         return Polynomial(self, keyed=tuple(zip(map(mapping.__getitem__, keys), keys)))
 

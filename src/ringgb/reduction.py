@@ -15,9 +15,11 @@ shifted tail term is one addition.  It pops the largest pending term,
 subtracts each step's k*s*tail(b) into the dict, and emits the term once
 it has no valid step, so the remainder comes out sorted.  It computes in
 the ring's ``_kernel_form`` (int pairs over QQ, plain ints over GF(p)
-and ZZ, heads prepared once).  For cofactors each step only
-appends ``(reducer, k, cofactor heap key)`` to a list, k in that form,
-which ``_row_sum`` sums into rows.  Outside this module
+and ZZ, heads prepared once).  On plain ints (the form's ``ints``) the
+default path subtracts inline and, over GF(p), takes a term mod p only
+when it pops it, as Monagan & Pearce delay it.  For cofactors each
+step only appends ``(reducer, k, cofactor heap key)`` to a list, k in
+that form, which ``_row_sum`` sums into rows.  Outside this module
 ``combinations_for``, ``complete`` and ``interreduce`` compute in the
 form too; other inputs enter it in ``_prepare``.
 
@@ -292,13 +294,14 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
     when it keeps them.  ``budget`` is charged when the loop ends, and at
     once at the step past its limit, which raises ``StepLimitExceeded``.
     """
-    enter, leave, add, mul, neg, is_zero, _, step, _ = reducers.form
+    enter, leave, add, mul, neg, is_zero, _, step, _, ints = reducers.form
     # Subclasses may override ``select``, so only the class itself runs the default rule.
     default = strategy is None or type(strategy) is FirstReducibleStrategy
     select = None if default else strategy.select
+    ints = ints if default else None  # the other paths read pending values, so these stay canonical
     known = {}  # the candidate steps of pending terms, for ``_steps``
     heads, memo, tails = reducers.heads, reducers.memo, reducers.tails
-    divisors_of, shift = reducers.divisors, reducers.shift
+    divisors_of, shift, get = reducers.divisors, reducers.shift, acc.get
     used, limit = (0, inf) if budget is None else (budget.used, budget.limit)
     limit = inf if limit is None else limit
     # A coefficient that cancels stays in ``acc`` as a zero entry, so
@@ -308,6 +311,8 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
     while heap:
         kt = heappop(heap)
         c = acc.pop(kt)
+        if ints:
+            c %= ints
         if is_zero(c):
             continue
         divisors = memo.get(kt)
@@ -346,17 +351,26 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
             if used > limit:
                 budget.used = used - 1
                 budget.spend()  # raises StepLimitExceeded
-            minus_k = neg(k)
             kept = None if tails is None else tails.get((i, target))
             ks, tail = kept or shift(i, target)
-            for cb, ku in tail:
-                x = mul(cb, minus_k)
-                old = acc.get(ku)
-                if old is None:
-                    acc[ku] = x
-                    heappush(heap, ku)
-                else:
-                    acc[ku] = add(old, x)
+            if ints is None:
+                minus_k = neg(k)
+                for cb, ku in tail:
+                    x = mul(cb, minus_k)
+                    old = get(ku)
+                    if old is None:
+                        acc[ku] = x
+                        heappush(heap, ku)
+                    else:
+                        acc[ku] = add(old, x)
+            else:
+                for cb, ku in tail:
+                    old = get(ku)
+                    if old is None:
+                        acc[ku] = -cb * k
+                        heappush(heap, ku)
+                    else:
+                        acc[ku] = old - cb * k
             if steps is not None:
                 steps.append((i, k, ks))
             if is_zero(c):

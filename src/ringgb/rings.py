@@ -32,11 +32,12 @@ values and methods, the rows from ``groebner`` and ``syzygies`` (which
 coerce), so a further ring needs nothing more than the contract above.
 The shipped rings call none of these methods there.  GF(p) prepares
 each head as its inverse, which also gives the pair rows.  ZZ prepares
-it as ``(b, |b|)``, computes with the ``operator`` functions and takes
-pair rows from ``_xgcd`` and the lcm quotients.  QQ reduces in
-``(numerator, denominator)`` int pairs in lowest terms, which cost a
-fraction of ``Fraction`` arithmetic; every value outside the loop stays
-as ``element`` returns it.
+it as ``(b, |b|)`` and takes pair rows from ``_xgcd`` and the lcm
+quotients.  Both set the form's ``ints``: the loop then adds and
+multiplies inline, over GF(p) unreduced until it pops a term.  QQ
+reduces in ``(numerator, denominator)`` int pairs in lowest terms,
+which cost a fraction of ``Fraction`` arithmetic; every value outside
+the loop stays as ``element`` returns it.
 """
 
 from __future__ import annotations
@@ -118,6 +119,9 @@ class _KernelForm(NamedTuple):
     groebner)`` is the list of rows ``(a1, a2)`` of ``groebner([a,
     b])[1]`` when ``groebner`` is true and of ``syzygies(a, b)``
     otherwise, in the representation: a critical pair's coefficients.
+    ``ints`` is None, or the values are ints whose arithmetic is the int
+    operators' modulo ``ints`` (0 for none), so the default reduction path
+    sums them inline and takes a term ``% ints`` only when it pops it.
     """
 
     enter: Callable | None
@@ -129,6 +133,7 @@ class _KernelForm(NamedTuple):
     prepare: Callable
     step: Callable
     pair_rows: Callable
+    ints: int | None = None
 
 
 def _same(value):
@@ -349,7 +354,9 @@ class PrimeField(_FieldMixin, CoefficientRing):
         def rows(a, b, groebner):
             return [(a, 0 if groebner else p - b)]
 
-        return _KernelForm(None, None, self.add, self.mul, self.neg, self.is_zero, lambda b: pow(b, -1, p), step, rows)
+        return _KernelForm(
+            None, None, self.add, self.mul, self.neg, operator.not_, lambda b: pow(b, -1, p), step, rows, ints=p
+        )
 
 
 class Rationals(_FieldMixin, CoefficientRing):
@@ -438,8 +445,8 @@ class Integers(CoefficientRing):
     (-|b|/2, |b|/2]; the tie at |b|/2 keeps the positive representative.
     Remainders are canonical, which is what makes normal forms over ZZ
     unique and the computed bases strong.  The reduction loop computes on
-    the ints themselves through ``operator.add``, ``mul`` and ``neg``,
-    and its ``_kernel_form`` prepares each head once as ``(b, |b|)``.
+    the ints themselves, with inline operators on its default path, and
+    its ``_kernel_form`` prepares each head once as ``(b, |b|)``.
     """
 
     name = "zz"
@@ -548,6 +555,7 @@ _ZZ_FORM = _KernelForm(
     prepare=lambda b: (b, abs(b)),
     step=_zz_step,
     pair_rows=_zz_rows,
+    ints=0,
 )
 
 

@@ -278,3 +278,17 @@ def test_oversized_output_coefficient_leaves_stdout_empty(command):
     assert result.returncode == 2
     assert result.stdout == ""
     assert "exceeds the 4300-digit printing limit" in result.stderr
+
+
+@pytest.mark.parametrize("ring", ["qq", "zz"])
+def test_coprime_heads_past_the_bound(ring):
+    # The lcm x^2000000000*y^2000000000 has degree 4000000000, past the
+    # bound.  Over a field the product criterion skips the pair without
+    # building a term there; over zz the pair's gcd polynomial holds it.
+    result = invoke("gb", "--ring", ring, "--order", "deglex", "--vars", "x,y", "x^2000000000", "y^2000000000")
+    if ring == "qq":
+        assert (result.returncode, result.stdout, result.stderr) == (0, "x^2000000000\ny^2000000000\n", "")
+    else:
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: exponent or total degree out of range: the bound is 2^31 = 2147483648\n"

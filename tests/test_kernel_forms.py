@@ -18,20 +18,23 @@ import pytest
 
 from ringgb import (
     CoefficientRing,
+    FirstReducibleStrategy,
     Integers,
     PolyRing,
     PrimeField,
     Rationals,
     RingError,
+    StepBudget,
     complete,
     groebner_basis,
     interreduce,
+    normal_form_with_cofactors,
 )
 
 from corpus import corpus, nonzero_poly
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 QQ = Rationals()
 FORM = QQ._kernel_form()
@@ -276,3 +279,72 @@ def test_field_pair_rows_are_the_rings_groebner_and_syzygies(qq_heads, gf_heads,
     assert_pair_rows_are_the_contract(QQ, *qq_heads)
     assert_pair_rows_are_the_contract(PrimeField(32003), *gf_heads)
     assert_pair_rows_are_the_contract(ContractGF7(), *gf7_heads)
+
+
+# The integer forms: GF(p) sums its products unreduced and takes them
+# mod p as the loop pops each term, and ZZ sums plain ints, both inline
+# on the default strategy's path.  Two oracles take the call path: the
+# same ring on the default form, and a subclass of the default strategy.
+INT_RINGS = (
+    PrimeField(2),
+    PrimeField(5),
+    PrimeField(32003),
+    PrimeField(2305843009213693951),  # 2^61 - 1
+    PrimeField(1208925819614629174706111),  # 2^80 - 65, below the Miller-Rabin bound
+    ZZ,
+)
+
+
+class DefaultFormGF(PrimeField):
+    """GF(p) that reduces through the default form, on the ring's own methods."""
+
+    def _kernel_form(self):
+        return CoefficientRing._kernel_form(self)
+
+
+class CalledFirstReducible(FirstReducibleStrategy):
+    """The default rule as a subclass, which lists the candidate steps."""
+
+
+def default_form_mirror(ring):
+    return DefaultFormZZ() if isinstance(ring, Integers) else DefaultFormGF(ring.p)
+
+
+def test_the_int_forms_name_their_modulus():
+    assert [ring._kernel_form().ints for ring in INT_RINGS] == [2, 5, 32003, 2**61 - 1, 2**80 - 65, 0]
+    for ring in (QQ, DefaultFormGF(5), DefaultFormZZ(), ContractGF7()):
+        assert ring._kernel_form().ints is None
+
+
+exponents = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+coefficients = st.integers(-9, 9) | st.integers(-(2**100), 2**100)
+monomial_lists = st.lists(st.tuples(coefficients, exponents), min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(INT_RINGS),
+    st.sampled_from(["lex", "deglex"]),
+    monomial_lists,
+    st.lists(monomial_lists, min_size=1, max_size=3),
+)
+def test_the_inline_path_reduces_as_the_call_path(ring, order, query, basis):
+    runs = []
+    for coeff_ring, strategy in ((ring, None), (default_form_mirror(ring), None), (ring, CalledFirstReducible())):
+        R = PolyRing(coeff_ring, ["x", "y", "z"], order)
+        gens = [g for g in (R.from_monomials(b) for b in basis) if g]
+        assume(gens)
+        budget = StepBudget()
+        q, cofactors = normal_form_with_cofactors(R.from_monomials(query), gens, strategy, budget)
+        runs.append((q.monomials, [c.monomials for c in cofactors], budget.used))
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("ring", INT_RINGS, ids=str)
+def test_the_inline_path_completes_katsura4_as_the_call_path(ring):
+    gens = katsura4(PolyRing(ring, ["u0", "u1", "u2", "u3"], "deglex"))
+    mirror = PolyRing(default_form_mirror(ring), ["u0", "u1", "u2", "u3"], "deglex")
+    ours = trace_fields(complete(gens))
+    assert trace_fields(complete([mirror.from_monomials(g.monomials) for g in gens])) == ours
+    assert trace_fields(complete(gens, strategy=CalledFirstReducible())) == ours

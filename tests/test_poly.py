@@ -1,5 +1,7 @@
+import gc
 import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -276,3 +278,18 @@ def test_variable_and_constant_helpers():
     assert QQ_XY.variable("y").monomials == ((Fraction(1), (0, 1)),)
     assert QQ_XY.constant(Fraction(2, 4)).monomials == ((Fraction(1, 2), (0, 0)),)
     assert len(QQ_XY.gens()) == 2
+
+
+def test_a_dropped_ring_is_freed_without_the_cyclic_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ring = PolyRing(PrimeField(5), ["x", "y"], "deglex")
+        x, y = ring.gens()
+        assert not ((x * y - 1) * ring.zero())
+        ref = weakref.ref(ring)
+        del ring, x, y
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
