@@ -196,7 +196,7 @@ def is_groebner_basis(basis) -> bool:
             if field and record[2] == heads[record[0]][0] + heads[j][0]:
                 continue
             for q, _ in combinations_for(reducers, record):
-                if q and _normal_form_keyed(q, reducers, None, None, None):
+                if q and next(_reduce(q, reducers, None, None, None), None) is not None:
                     return False
     return True
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import islice
-from operator import itemgetter, mul, neg
+from operator import itemgetter, mul
 from struct import Struct
 
 _ORDER_KINDS = ("lex", "deglex")
@@ -22,14 +22,6 @@ DEGREE_BOUND = 1 << FIELD_BITS - 1
 
 def term_mul(s: tuple, t: tuple) -> tuple:
     return tuple(a + b for a, b in zip(s, t))
-
-
-def term_div(t: tuple, s: tuple) -> tuple:
-    """t / s; raises ValueError when s does not divide t."""
-    out = tuple(a - b for a, b in zip(t, s))
-    if any(e < 0 for e in out):
-        raise ValueError(f"{s} does not divide {t}")
-    return out
 
 
 def term_divides(s: tuple, t: tuple) -> bool:
@@ -64,21 +56,6 @@ class TermOrder:
         if self.kind == "lex":
             return term
         return (sum(term), term)
-
-    def heap_key(self, term: tuple) -> tuple:
-        """The negated sort vector, ascending as terms descend: what ``PackedOrder`` packs."""
-        if self.precedence is not None:
-            term = tuple(map(term.__getitem__, self.precedence))
-        if self.kind == "lex":
-            return tuple(map(neg, term))
-        return (-sum(term), *map(neg, term))
-
-    def key_lcm(self, a: tuple, b: tuple) -> tuple:
-        """``heap_key(term_lcm(s, t))`` from the heap keys a and b of s and t."""
-        key = tuple(map(min, a, b))
-        if self.kind == "lex":
-            return key
-        return (sum(key) - key[0], *key[1:])
 
     def __eq__(self, other):
         return (

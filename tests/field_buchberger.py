@@ -10,7 +10,9 @@ from collections import deque
 from itertools import islice
 from operator import le
 
-from ringgb.terms import term_div, term_lcm
+from ringgb.terms import term_lcm
+
+from naive_poly import term_div
 
 
 def field_normal_form(p, basis):

@@ -51,3 +51,11 @@ def combination(ring, cofactors, polys) -> dict:
     for cofactor, p in zip(cofactors, polys):
         acc = add(ring, acc, mul(ring, as_dict(cofactor), as_dict(p)))
     return acc
+
+
+def term_div(t: tuple, s: tuple) -> tuple:
+    """t / s for exponent tuples; raises ValueError when s does not divide t."""
+    out = tuple(a - b for a, b in zip(t, s))
+    if any(e < 0 for e in out):
+        raise ValueError(f"{s} does not divide {t}")
+    return out

@@ -9,7 +9,9 @@ on no candidates, and stops when that returns None.
 """
 
 from ringgb.reduction import FirstReducibleStrategy, ReductionStep
-from ringgb.terms import term_div, term_divides
+from ringgb.terms import term_divides
+
+from naive_poly import term_div
 
 
 def iter_reduction_steps(p, basis):

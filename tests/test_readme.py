@@ -1,9 +1,10 @@
-"""The README's library quickstart and CLI examples give what they show."""
+"""The README's library quickstart and CLI examples give what they show, and its API list is complete."""
 
 import re
 import shlex
 from pathlib import Path
 
+import ringgb
 from ringgb import cli
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -39,3 +40,10 @@ def test_cli_examples(capsys):
         assert captured.out == output
         assert captured.err == ""
     assert codes == [0, 0, 1]
+
+
+def test_public_api_list_names_every_export():
+    block = README[README.index("### Public API") :]
+    block = block[: block.index("\n#")]
+    listed = re.findall(r"^- `(\w+)`:", block, re.M)
+    assert sorted(listed) == sorted(ringgb.__all__)
