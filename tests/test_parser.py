@@ -85,6 +85,38 @@ def test_syntax_error_carries_position():
     assert info.value.position == 5
 
 
+def test_every_error_has_its_message_and_column():
+    # (text, ring, message, column): one line per error path of the
+    # parser, each literal checked by the ring's from_fraction on its own.
+    cases = [
+        ("", QQ_XY, "empty polynomial", 1),
+        ("x +", QQ_XY, "expected a coefficient or variable", 4),
+        ("+", QQ_XY, "expected a coefficient or variable", 2),
+        ("x - -1", QQ_XY, "expected a coefficient or variable", 5),
+        ("^2", QQ_XY, "unexpected '^'", 1),
+        ("* x", QQ_XY, "unexpected '*'", 1),
+        ("x^2^3", QQ_XY, "unexpected '^'", 4),
+        ("x/2", QQ_XY, "unexpected '/'", 2),
+        ("x^", QQ_XY, "expected an integer exponent", 3),
+        ("x ^ y", QQ_XY, "expected an integer exponent", 5),
+        ("2**x", QQ_XY, "expected a factor after '*'", 3),
+        ("x*", QQ_XY, "expected a factor after '*'", 3),
+        ("2/", QQ_XY, "expected an integer denominator", 3),
+        ("1/x", QQ_XY, "expected an integer denominator", 3),
+        ("1/0*x", QQ_XY, "division by zero in qq", 1),
+        ("2 + @", QQ_XY, "unexpected character '@'", 5),
+        ("2*x+z", QQ_XY, "unknown variable 'z'", 5),
+        ("x + 3/2*y", ZZ_XY, "non-integer coefficient 3/2 in zz", 5),
+        ("1/2*2*x", ZZ_XY, "non-integer coefficient 1/2 in zz", 1),
+        ("x*10/5", GF5_XY, "division by zero in gf(5)", 3),
+        ("x - " + "7" * 5000, QQ_XY, "integer of 5000 digits is too long", 5),
+    ]
+    for text, ring, message, column in cases:
+        with pytest.raises(PolynomialSyntaxError) as info:
+            parse_polynomial(text, ring)
+        assert (str(info.value), info.value.position) == (f"{message} (column {column})", column), text
+
+
 @pytest.mark.parametrize(
     "text, column",
     [("1" * 5000, 1), ("x + 2/" + "3" * 5000, 7), ("x^" + "9" * 5000, 3), ("y*x^" + "1" * 5000, 5)],
