@@ -31,6 +31,12 @@ def test_parse_rational_coefficients():
     assert p.monomials == ((Fraction(-1, 2), (1, 0)), (1, (0, 1)))
 
 
+def test_a_terms_literals_multiply_wherever_they_stand():
+    p = parse_polynomial("2*x*3/4*y 5 - 3 4", QQ_XY)
+    assert p.monomials == ((Fraction(15, 2), (1, 1)), (-12, (0, 0)))
+    assert parse_polynomial("3*x*4", GF5_XY) == 2 * GF5_XY.variable("x")
+
+
 def test_parse_optional_star_and_whitespace():
     assert parse_polynomial("2x^2y", ZZ_XY) == parse_polynomial("2*x^2*y", ZZ_XY)
     assert parse_polynomial("  2 x ", ZZ_XY) == parse_polynomial("2*x", ZZ_XY)
