@@ -79,8 +79,8 @@ def combinations_for(reducers, record):
     gcd = kind == GCD
     form, heads = reducers.form, reducers.heads
     # s1*basis[i] and s2*basis[j] are the steps of i and j at the lcm.
-    # Only a gcd record keeps them: over zz its syzygy record comes next
-    # and reads them, and over a field no gcd record is queued.
+    # Only a gcd record keeps them: over zz its syzygy record is popped
+    # later and reads them, and over a field no gcd record is queued.
     k1, tail1 = reducers.shifted(i, kl, gcd)
     k2, tail2 = reducers.shifted(j, kl, gcd)
     add, mul, is_zero = form.add, form.mul, form.is_zero

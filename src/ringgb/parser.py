@@ -47,100 +47,11 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, ring: PolyRing):
-        self.tokens = tokens
-        self.ring = ring
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0]
-
-    def column(self):
-        return self.tokens[self.pos][1]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def take_int(self):
-        text, col = self.take()
-        try:
-            return int(text), col
-        except ValueError:  # past Python's int-from-str digit limit
-            raise PolynomialSyntaxError(f"integer of {len(text)} digits is too long", col) from None
-
-    def parse(self):
-        if self.peek() is None:
-            raise PolynomialSyntaxError("empty polynomial", 1)
-        monomials = []
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.take()[0] == "-" else 1
-        while True:
-            coeff, term = self.parse_term()
-            if sign < 0:
-                coeff = self.ring.coeff_ring.neg(coeff)
-            monomials.append((coeff, term))
-            if self.peek() is None:
-                return monomials
-            sign = -1 if self.take()[0] == "-" else 1
-
-    def parse_term(self):
-        ring = self.ring.coeff_ring
-        coeff = ring.one()
-        exponents = [0] * self.ring.nvars
-        factors = 0
-        while True:
-            tok = self.peek()
-            col = self.column()
-            if tok is None or tok in ("+", "-"):
-                if factors == 0:
-                    raise PolynomialSyntaxError("expected a coefficient or variable", col)
-                break
-            if tok.isdigit():
-                coeff = ring.mul(coeff, self.parse_number())
-            elif tok[0].isalpha():
-                index, exp = self.parse_variable()
-                exponents[index] += exp
-            else:
-                raise PolynomialSyntaxError(f"unexpected {tok!r}", col)
-            factors += 1
-            if self.peek() == "*":
-                star_col = self.column()
-                self.take()
-                nxt = self.peek()
-                if nxt is None or not (nxt.isdigit() or nxt[0].isalpha()):
-                    raise PolynomialSyntaxError("expected a factor after '*'", star_col + 1)
-        return coeff, tuple(exponents)
-
-    def parse_number(self):
-        numerator, col = self.take_int()
-        denominator = 1
-        if self.peek() == "/":
-            self.take()
-            if self.peek() is None or not self.peek().isdigit():
-                raise PolynomialSyntaxError("expected an integer denominator", self.column())
-            denominator = self.take_int()[0]
-        try:
-            return self.ring.coeff_ring.from_fraction(numerator, denominator)
-        except RingError as exc:
-            raise PolynomialSyntaxError(str(exc), col) from None
-
-    def parse_variable(self):
-        name, col = self.take()
-        try:
-            index = self.ring.var_index(name)
-        except ValueError:
-            raise PolynomialSyntaxError(f"unknown variable {name!r}", col) from None
-        exp = 1
-        if self.peek() == "^":
-            self.take()
-            if self.peek() is None or not self.peek().isdigit():
-                raise PolynomialSyntaxError("expected an integer exponent", self.column())
-            exp = self.take_int()[0]
-        return index, exp
+def _int(text: str, col: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # past Python's int-from-str digit limit
+        raise PolynomialSyntaxError(f"integer of {len(text)} digits is too long", col) from None
 
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
@@ -149,5 +60,61 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     Raises ``PolynomialSyntaxError`` (with a 1-based column) for syntax
     problems, unknown variables, and coefficients outside the ring.
     """
-    parser = _Parser(_tokenize(text), ring)
-    return ring.from_monomials(parser.parse())
+    tokens = _tokenize(text)
+    coeff_ring = ring.coeff_ring
+    if tokens[0][0] is None:
+        raise PolynomialSyntaxError("empty polynomial", 1)
+    i = 0
+    monomials = []
+    while tokens[i][0] is not None:
+        # One term: a sign (optional before the first), then factors up to a sign or the end.
+        negative = tokens[i][0] == "-"
+        if tokens[i][0] in ("+", "-"):
+            i += 1
+        tok, col = tokens[i]
+        if tok is None or tok in ("+", "-"):
+            raise PolynomialSyntaxError("expected a coefficient or variable", col)
+        coeff = None
+        exponents = [0] * ring.nvars
+        while True:
+            i += 1
+            if tok.isdigit():
+                numerator, denominator = _int(tok, col), 1
+                if tokens[i][0] == "/":
+                    den, den_col = tokens[i + 1]
+                    if den is None or not den.isdigit():
+                        raise PolynomialSyntaxError("expected an integer denominator", den_col)
+                    denominator = _int(den, den_col)
+                    i += 2
+                try:
+                    value = coeff_ring.from_fraction(numerator, denominator)
+                except RingError as exc:
+                    raise PolynomialSyntaxError(str(exc), col) from None
+                coeff = value if coeff is None else coeff_ring.mul(coeff, value)
+            elif tok[0].isalpha():
+                try:
+                    index = ring.var_index(tok)
+                except ValueError:
+                    raise PolynomialSyntaxError(f"unknown variable {tok!r}", col) from None
+                exp = 1
+                if tokens[i][0] == "^":
+                    exp_text, exp_col = tokens[i + 1]
+                    if exp_text is None or not exp_text.isdigit():
+                        raise PolynomialSyntaxError("expected an integer exponent", exp_col)
+                    exp = _int(exp_text, exp_col)
+                    i += 2
+                exponents[index] += exp
+            else:
+                raise PolynomialSyntaxError(f"unexpected {tok!r}", col)
+            tok, col = tokens[i]
+            if tok == "*":
+                i += 1
+                tok = tokens[i][0]
+                if tok is None or not (tok.isdigit() or tok[0].isalpha()):
+                    raise PolynomialSyntaxError("expected a factor after '*'", col + 1)
+                col = tokens[i][1]
+            elif tok is None or tok in ("+", "-"):
+                break
+        coeff = coeff_ring.one() if coeff is None else coeff
+        monomials.append((coeff_ring.neg(coeff) if negative else coeff, tuple(exponents)))
+    return ring.from_monomials(monomials)

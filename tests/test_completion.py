@@ -88,8 +88,9 @@ def test_complete_singleton_and_degenerate_inputs():
     trace = complete([p])
     assert trace.basis == (p,)
     assert trace.pairs_processed == 0
-    assert complete([QQ_XY.zero()]).basis == ()
-    assert complete([]).basis == ()
+    for empty in (complete([QQ_XY.zero()]), complete([]), complete([ZZ_XY.zero(), ZZ_XY.zero()])):
+        assert empty.basis == ()
+        assert empty.certificates == ()
 
 
 def test_complete_rejects_mixed_rings():

@@ -32,6 +32,7 @@ from ringgb import (
 )
 
 from corpus import corpus, nonzero_poly
+from families import katsura
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
@@ -135,17 +136,6 @@ class DefaultFormZZ(Integers):
         return CoefficientRing._kernel_form(self)
 
 
-def katsura4(R):
-    u = R.gens()
-
-    def U(i):
-        return u[abs(i)] if abs(i) < 4 else R.zero()
-
-    gens = [sum((U(i) for i in range(-3, 4)), R.zero()) - 1]
-    gens += [sum((U(i) * U(m - i) for i in range(-3, 4)), R.zero()) - U(m) for m in range(3)]
-    return gens
-
-
 def trace_fields(trace):
     return (
         [p.monomials for p in trace.basis],
@@ -159,7 +149,7 @@ def trace_fields(trace):
 
 def test_zz_form_completes_as_the_default_form():
     ideals = [entry.generators for entry in corpus() if entry.ring_name == "zz"]
-    ideals.append(katsura4(PolyRing(ZZ, ["u0", "u1", "u2", "u3"], "deglex")))
+    ideals.append(katsura(PolyRing(ZZ, ["u0", "u1", "u2", "u3"], "deglex")))
     for gens in ideals:
         R = gens[0].ring
         mirror = PolyRing(DefaultFormZZ(), R.variables, R.order)
@@ -343,7 +333,7 @@ def test_the_inline_path_reduces_as_the_call_path(ring, order, query, basis):
 
 @pytest.mark.parametrize("ring", INT_RINGS, ids=str)
 def test_the_inline_path_completes_katsura4_as_the_call_path(ring):
-    gens = katsura4(PolyRing(ring, ["u0", "u1", "u2", "u3"], "deglex"))
+    gens = katsura(PolyRing(ring, ["u0", "u1", "u2", "u3"], "deglex"))
     mirror = PolyRing(default_form_mirror(ring), ["u0", "u1", "u2", "u3"], "deglex")
     ours = trace_fields(complete(gens))
     assert trace_fields(complete([mirror.from_monomials(g.monomials) for g in gens])) == ours

@@ -278,6 +278,11 @@ def test_variable_and_constant_helpers():
     assert QQ_XY.variable("y").monomials == ((Fraction(1), (0, 1)),)
     assert QQ_XY.constant(Fraction(2, 4)).monomials == ((Fraction(1, 2), (0, 0)),)
     assert len(QQ_XY.gens()) == 2
+    x, y = QQ_XY.gens()
+    assert 1 - x == QQ_XY.from_monomials([(-1, (1, 0)), (1, (0, 0))]) == -(x - 1)
+    assert QQ_XY.parse("1/2*y - x^2") == QQ_XY.constant(Fraction(1, 2)) * y - x**2
+    assert repr(QQ_XY) == "PolyRing(qq, vars=x,y, order=lex)"
+    assert repr(PolyRing(PrimeField(5), ["u0", "u1"], "deglex")) == "PolyRing(gf(5), vars=u0,u1, order=deglex)"
 
 
 def test_a_dropped_ring_is_freed_without_the_cyclic_collector():

@@ -33,6 +33,7 @@ from ringgb.terms import TermOrder, term_divides
 
 import rescan_reduction
 from corpus import corpus
+from families import cyclic, katsura
 
 
 class RescanFirstReducible(FirstReducibleStrategy):
@@ -44,39 +45,6 @@ class RescanFirstReducible(FirstReducibleStrategy):
     def select(self, candidates):
         self.selects += 1
         return super().select(candidates)
-
-
-def katsura(R):
-    xs = R.gens()
-    n = len(xs)
-
-    def u(i):
-        i = abs(i)
-        return xs[i] if i < n else R.zero()
-
-    gens = [sum((u(i) for i in range(-n + 1, n)), R.zero()) - 1]
-    for m in range(n - 1):
-        gens.append(sum((u(l) * u(m - l) for l in range(-n + 1, n)), R.zero()) - u(m))
-    return gens
-
-
-def cyclic(R):
-    xs = R.gens()
-    n = len(xs)
-    gens = []
-    for d in range(1, n):
-        total = R.zero()
-        for i in range(n):
-            t = R.one()
-            for j in range(d):
-                t = t * xs[(i + j) % n]
-            total = total + t
-        gens.append(total)
-    product = R.one()
-    for x in xs:
-        product = product * x
-    gens.append(product - 1)
-    return gens
 
 
 def random_probe(rng, R, nterms, degree):
