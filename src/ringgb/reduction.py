@@ -17,11 +17,17 @@ it has no valid step, so the remainder comes out sorted.  It computes in
 the ring's ``_kernel_form`` (int pairs over QQ, plain ints over GF(p)
 and ZZ, heads prepared once).  On plain ints (the form's ``ints``) the
 default path subtracts inline and, over GF(p), takes a term mod p only
-when it pops it, as Monagan & Pearce delay it.  For cofactors each
-step only appends ``(reducer, k, cofactor heap key)`` to a list, k in
-that form, which ``_row_sum`` sums into rows.  Outside this module
-``combinations_for``, ``complete`` and ``interreduce`` compute in the
-form too; other inputs enter it in ``_prepare``.
+when it pops it, as Monagan & Pearce delay it.  On QQ's pairs (the
+form's ``ratios``) it subtracts inline too, with one gcd per tail term:
+a pending sum stays over the lcm of its denominators, its numerator not
+cancelled, until the pop brings it to lowest terms with one more gcd
+(Knuth, TAOCP vol. 2, 4.5.1).  Every value that leaves the loop is
+canonical.  For cofactors each step only appends ``(reducer, k,
+cofactor heap key)`` to a list, k in that form, which ``_row_sum`` sums
+into rows, over QQ inline with each entry settled once at the end.
+Outside this module ``combinations_for``, ``complete`` and
+``interreduce`` compute in the form too; other inputs enter it in
+``_prepare``.
 
 The default ``FirstReducibleStrategy`` (or None) takes the first reducer
 in basis order that hits the popped term.  Its scan of the dividing
@@ -65,7 +71,7 @@ import random
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from itertools import islice
-from math import inf
+from math import gcd, inf
 from typing import NamedTuple
 
 from .poly import Polynomial
@@ -294,11 +300,12 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
     when it keeps them.  ``budget`` is charged when the loop ends, and at
     once at the step past its limit, which raises ``StepLimitExceeded``.
     """
-    enter, leave, add, mul, neg, is_zero, _, step, _, ints = reducers.form
+    enter, leave, add, mul, neg, is_zero, _, step, _, ints, ratios = reducers.form
     # Subclasses may override ``select``, so only the class itself runs the default rule.
     default = strategy is None or type(strategy) is FirstReducibleStrategy
     select = None if default else strategy.select
-    ints = ints if default else None  # the other paths read pending values, so these stay canonical
+    if not default:  # the other paths read pending values, so these stay canonical
+        ints = ratios = None
     known = {}  # the candidate steps of pending terms, for ``_steps``
     heads, memo, tails = reducers.heads, reducers.memo, reducers.tails
     divisors_of, shift, get = reducers.divisors, reducers.shift, acc.get
@@ -313,6 +320,11 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
         c = acc.pop(kt)
         if ints:
             c %= ints
+        elif ratios:
+            n, d = c
+            g = gcd(n, d)  # d for n = 0, which gives (0, 1)
+            if g != 1:
+                c = n // g, d // g
         if is_zero(c):
             continue
         divisors = memo.get(kt)
@@ -353,7 +365,29 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
                 budget.spend()  # raises StepLimitExceeded
             kept = None if tails is None else tails.get((i, target))
             ks, tail = kept or shift(i, target)
-            if ints is None:
+            if ints is not None:
+                for cb, ku in tail:
+                    old = get(ku)
+                    if old is None:
+                        acc[ku] = -cb * k
+                        heappush(heap, ku)
+                    else:
+                        acc[ku] = old - cb * k
+            elif ratios:
+                # old - k*cb over the lcm of the denominators, not cancelled.
+                kn, kd = k
+                for (n, d), ku in tail:
+                    old = get(ku)
+                    d *= kd
+                    if old is None:
+                        acc[ku] = -n * kn, d
+                        heappush(heap, ku)
+                    else:
+                        a, b = old
+                        g = gcd(b, d)
+                        b //= g
+                        acc[ku] = a * (d // g) - n * kn * b, b * d
+            else:
                 minus_k = neg(k)
                 for cb, ku in tail:
                     x = mul(cb, minus_k)
@@ -363,14 +397,6 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
                         heappush(heap, ku)
                     else:
                         acc[ku] = add(old, x)
-            else:
-                for cb, ku in tail:
-                    old = get(ku)
-                    if old is None:
-                        acc[ku] = -cb * k
-                        heappush(heap, ku)
-                    else:
-                        acc[ku] = old - cb * k
             if steps is not None:
                 steps.append((i, k, ks))
             if is_zero(c):
@@ -426,17 +452,42 @@ def _unit_rows(form, ring, indexes) -> list:
 
 
 def _row_sum(form, order, rows, parts) -> tuple:
-    """The row sum(c*s*rows[m]) over ``(m, c, heap key of s)`` parts, c in ``form``."""
-    mul, add, is_zero = form.mul, form.add, form.is_zero
+    """The row sum(c*s*rows[m]) over ``(m, c, heap key of s)`` parts, c in ``form``.
+
+    Over a form with ``ratios`` the sums are taken inline and each entry
+    is brought to lowest terms once, at the end: ``_fill_rows`` stores
+    the row and later sums read it.
+    """
+    mul, add, is_zero, ratios = form.mul, form.add, form.is_zero, form.ratios
     sums: dict = {}  # per g, heap key -> coefficient
     for m, c, ks in parts:
         for g, keyed, bound in rows[m]:
             order.check(bound + ks)
             acc = sums.setdefault(g, {})
-            for cm, km in keyed:
-                ku = km + ks
-                old = acc.get(ku)
-                acc[ku] = mul(cm, c) if old is None else add(old, mul(cm, c))
+            get = acc.get
+            if ratios:
+                cn, cd = c
+                for (n, d), km in keyed:
+                    ku = km + ks
+                    old = get(ku)
+                    d *= cd
+                    if old is None:
+                        acc[ku] = n * cn, d
+                    else:
+                        a, b = old
+                        h = gcd(b, d)
+                        b //= h
+                        acc[ku] = a * (d // h) + n * cn * b, b * d
+            else:
+                for cm, km in keyed:
+                    ku = km + ks
+                    old = get(ku)
+                    acc[ku] = mul(cm, c) if old is None else add(old, mul(cm, c))
+    if ratios:
+        for acc in sums.values():
+            for ku, (n, d) in acc.items():
+                h = gcd(n, d)
+                acc[ku] = n // h, d // h
     row = ((g, tuple((acc[k], k) for k in sorted(acc) if not is_zero(acc[k]))) for g, acc in sorted(sums.items()))
     return tuple((g, keyed, order.key_bound(keyed)) for g, keyed in row if keyed)
 

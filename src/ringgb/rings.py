@@ -35,9 +35,10 @@ each head as its inverse, which also gives the pair rows.  ZZ prepares
 it as ``(b, |b|)`` and takes pair rows from ``_xgcd`` and the lcm
 quotients.  Both set the form's ``ints``: the loop then adds and
 multiplies inline, over GF(p) unreduced until it pops a term.  QQ
-reduces in ``(numerator, denominator)`` int pairs in lowest terms,
-which cost a fraction of ``Fraction`` arithmetic; every value outside
-the loop stays as ``element`` returns it.
+reduces in ``(numerator, denominator)`` int pairs, which cost a
+fraction of ``Fraction`` arithmetic, and sets the form's ``ratios``:
+the loop sums them inline, not in lowest terms until it pops a term.
+Every value outside the loop stays as ``element`` returns it.
 """
 
 from __future__ import annotations
@@ -122,6 +123,11 @@ class _KernelForm(NamedTuple):
     ``ints`` is None, or the values are ints whose arithmetic is the int
     operators' modulo ``ints`` (0 for none), so the default reduction path
     sums them inline and takes a term ``% ints`` only when it pops it.
+    ``ratios`` is true when the values are rationals as ``(n, d)`` int
+    pairs with d > 0, canonical in lowest terms: the default reduction
+    path then sums them inline over the lcm of the denominators, leaves
+    each sum uncancelled and brings a term to lowest terms only when it
+    pops it, and ``_row_sum`` sums rows so and settles each entry once.
     """
 
     enter: Callable | None
@@ -134,6 +140,7 @@ class _KernelForm(NamedTuple):
     step: Callable
     pair_rows: Callable
     ints: int | None = None
+    ratios: bool = False
 
 
 def _same(value):
@@ -393,7 +400,9 @@ class Rationals(_FieldMixin, CoefficientRing):
 
 # QQ in the reduction loop: (n, d) int pairs with gcd(n, d) = 1 and
 # d > 0, so zero is (0, 1).  Sums and products cancel common factors
-# as Fraction does (Knuth, TAOCP vol. 2, 4.5.1).
+# as Fraction does (Knuth, TAOCP vol. 2, 4.5.1).  Only the default
+# reduction path and ``_row_sum`` hold pending sums that are not yet in
+# lowest terms (the form's ``ratios``); no such pair leaves them.
 
 
 def _qq_add(x, y):
@@ -435,6 +444,7 @@ _QQ_FORM = _KernelForm(
     prepare=_qq_inverse,
     step=_qq_step,
     pair_rows=lambda a, b, groebner: [(a, (0, 1) if groebner else (-b[0], b[1]))],  # as over GF(p)
+    ratios=True,
 )
 
 

@@ -2,9 +2,10 @@
 
 QQ reduces in ``(numerator, denominator)`` int pairs: every operation
 must agree exactly with ``Fraction`` and stay in lowest terms, also on
-large, negative and cancelling values.  GF(p) prepares each head as
-its inverse, and ZZ as ``(b, |b|)``, whose step must give the ring's
-``(k, d)`` exactly.  Every form's ``pair_rows`` must give the ring's
+large, negative and cancelling values, and every pair that leaves the
+reduction loop or a row sum must be in lowest terms.  GF(p) prepares
+each head as its inverse, and ZZ as ``(b, |b|)``, whose step must give
+the ring's ``(k, d)`` exactly.  Every form's ``pair_rows`` must give the ring's
 own ``groebner`` and ``syzygies`` rows exactly.  A ring written against
 the contract alone keeps the default form and completes exactly as the
 shipped GF(7) does.
@@ -30,6 +31,7 @@ from ringgb import (
     interreduce,
     normal_form_with_cofactors,
 )
+from ringgb.reduction import _prepare, _reduce, _row_sum, _unit_rows
 
 from corpus import corpus, nonzero_poly
 from families import katsura
@@ -271,10 +273,12 @@ def test_field_pair_rows_are_the_rings_groebner_and_syzygies(qq_heads, gf_heads,
     assert_pair_rows_are_the_contract(ContractGF7(), *gf7_heads)
 
 
-# The integer forms: GF(p) sums its products unreduced and takes them
-# mod p as the loop pops each term, and ZZ sums plain ints, both inline
-# on the default strategy's path.  Two oracles take the call path: the
-# same ring on the default form, and a subclass of the default strategy.
+# The inline forms: GF(p) sums its products unreduced and takes them
+# mod p as the loop pops each term, ZZ sums plain ints, and QQ sums its
+# pairs over the lcm of the denominators and brings them to lowest terms
+# as the loop pops each term, all inline on the default strategy's path.
+# Two oracles take the call path: the same ring on the default form, and
+# a subclass of the default strategy.
 INT_RINGS = (
     PrimeField(2),
     PrimeField(5),
@@ -283,10 +287,18 @@ INT_RINGS = (
     PrimeField(1208925819614629174706111),  # 2^80 - 65, below the Miller-Rabin bound
     ZZ,
 )
+INLINE_RINGS = INT_RINGS + (QQ,)
 
 
 class DefaultFormGF(PrimeField):
     """GF(p) that reduces through the default form, on the ring's own methods."""
+
+    def _kernel_form(self):
+        return CoefficientRing._kernel_form(self)
+
+
+class DefaultFormQQ(Rationals):
+    """QQ that reduces through the default form, on ``Fraction`` and the ring's own methods."""
 
     def _kernel_form(self):
         return CoefficientRing._kernel_form(self)
@@ -297,6 +309,8 @@ class CalledFirstReducible(FirstReducibleStrategy):
 
 
 def default_form_mirror(ring):
+    if isinstance(ring, Rationals):
+        return DefaultFormQQ()
     return DefaultFormZZ() if isinstance(ring, Integers) else DefaultFormGF(ring.p)
 
 
@@ -304,6 +318,26 @@ def test_the_int_forms_name_their_modulus():
     assert [ring._kernel_form().ints for ring in INT_RINGS] == [2, 5, 32003, 2**61 - 1, 2**80 - 65, 0]
     for ring in (QQ, DefaultFormGF(5), DefaultFormZZ(), ContractGF7()):
         assert ring._kernel_form().ints is None
+    assert [ring for ring in (*INT_RINGS, QQ, DefaultFormQQ(), ContractGF7()) if ring._kernel_form().ratios] == [QQ]
+
+
+def rows_are_canonical(rows):
+    """Every coefficient of the rows, tuples of ``(g, keyed, bound)``, is a pair in lowest terms."""
+    return all(canonical(c) for row in rows for _, keyed, _ in row for c, _ in keyed)
+
+
+def qq_reduction_is_canonical(p, basis):
+    """Over QQ: the pairs the loop emits, its step records and the cofactor row are in lowest terms.
+
+    ``leave`` would bring an emitted pair to lowest terms, so the loop
+    runs on the form without it and emits the pairs themselves.
+    """
+    acc, reducers = _prepare(p, basis)
+    reducers.form = reducers.form._replace(leave=None)
+    steps = []
+    emitted = [c for c, _ in _reduce(acc, reducers, None, None, steps)]
+    row = _row_sum(FORM, p.ring.order, _unit_rows(FORM, p.ring, range(len(basis))), steps)
+    return all(map(canonical, emitted)) and all(canonical(k) for _, k, _ in steps) and rows_are_canonical([row])
 
 
 exponents = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
@@ -313,7 +347,7 @@ monomial_lists = st.lists(st.tuples(coefficients, exponents), min_size=1, max_si
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from(INT_RINGS),
+    st.sampled_from(INLINE_RINGS),
     st.sampled_from(["lex", "deglex"]),
     monomial_lists,
     st.lists(monomial_lists, min_size=1, max_size=3),
@@ -329,12 +363,19 @@ def test_the_inline_path_reduces_as_the_call_path(ring, order, query, basis):
         runs.append((q.monomials, [c.monomials for c in cofactors], budget.used))
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
+    if ring is QQ:
+        assert qq_reduction_is_canonical(R.from_monomials(query), gens)
 
 
-@pytest.mark.parametrize("ring", INT_RINGS, ids=str)
+@pytest.mark.parametrize("ring", INLINE_RINGS, ids=str)
 def test_the_inline_path_completes_katsura4_as_the_call_path(ring):
     gens = katsura(PolyRing(ring, ["u0", "u1", "u2", "u3"], "deglex"))
     mirror = PolyRing(default_form_mirror(ring), ["u0", "u1", "u2", "u3"], "deglex")
-    ours = trace_fields(complete(gens))
+    trace = complete(gens)
+    ours = trace_fields(trace)
     assert trace_fields(complete([mirror.from_monomials(g.monomials) for g in gens])) == ours
     assert trace_fields(complete(gens, strategy=CalledFirstReducible())) == ours
+    if ring is QQ:
+        assert rows_are_canonical(trace._rows)  # summed by ``certificates`` in ``trace_fields``
+        member = sum((g * g for g in gens), gens[0].ring.zero())
+        assert qq_reduction_is_canonical(member, trace.basis)

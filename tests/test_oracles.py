@@ -2,8 +2,8 @@
 
 The zz bases of the acceptance corpus are checked against the qq bases
 of the same generators, and random field ideals in 3 variables,
-cyclic-4 and katsura-4, and cyclic-5 over gf(32003) against sympy's
-``groebner`` when sympy is installed.
+cyclic-4 and katsura-4, cyclic-5 over gf(32003) and katsura-5 over qq
+against sympy's ``groebner`` when sympy is installed.
 """
 
 import random
@@ -105,4 +105,13 @@ def test_cyclic5_deglex_basis_over_gf32003_matches_sympy():
     sympy = pytest.importorskip("sympy")
     ring = PolyRing(PrimeField(32003), [f"x{i}" for i in range(5)], "deglex")
     gens = cyclic(ring)
+    assert groebner_basis(gens) == sympy_basis(sympy, ring, gens)
+
+
+def test_katsura5_deglex_basis_over_qq_matches_sympy():
+    # Its coefficients grow to 30-digit numerators and denominators,
+    # which the reduction loop sums unreduced until it pops each term.
+    sympy = pytest.importorskip("sympy")
+    ring = PolyRing(Rationals(), [f"u{i}" for i in range(5)], "deglex")
+    gens = katsura(ring)
     assert groebner_basis(gens) == sympy_basis(sympy, ring, gens)
