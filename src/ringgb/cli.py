@@ -20,7 +20,7 @@ import sys
 from .completion import DEFAULT_STEP_LIMIT, complete, ideal_membership, interreduce
 from .parser import PolynomialSyntaxError, parse_polynomial
 from .poly import PolyRing, format_polynomial
-from .reduction import SeededRandomStrategy, StepLimitExceeded, normal_form
+from .reduction import SeededRandomStrategy, StepBudget, StepLimitExceeded, normal_form
 from .rings import RingError, ring_from_string
 from .terms import TermOrder
 
@@ -57,8 +57,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "--max-steps",
             type=_positive_int,
             default=DEFAULT_STEP_LIMIT,
-            help=f"step limit of the completion; each reduction step and each queued pair "
-            f"counts as one step (default {DEFAULT_STEP_LIMIT})",
+            help=f"step limit of the completion, and of the nf or member query's own "
+            f"reduction; each reduction step and each queued pair counts as one step "
+            f"(default {DEFAULT_STEP_LIMIT})",
         )
 
     gb = sub.add_parser("gb", help="compute the interreduced Groebner basis")
@@ -135,10 +136,10 @@ def run(args: argparse.Namespace, out=None, err=None) -> int:
         lines = _format_all(interreduce(trace.basis))
     elif args.command == "nf":
         query = parse_polynomial(args.query, poly_ring)
-        lines = _format_all([normal_form(query, trace.basis, strategy)])
+        lines = _format_all([normal_form(query, trace.basis, strategy, StepBudget(args.max_steps))])
     else:
         query = parse_polynomial(args.query, poly_ring)
-        outcome = ideal_membership(query, generators, strategy=strategy, trace=trace)
+        outcome = ideal_membership(query, generators, strategy=strategy, max_steps=args.max_steps, trace=trace)
         if outcome.is_member:
             lines = ["YES", *_format_all(outcome.certificate)]
         else:

@@ -226,7 +226,8 @@ def ideal_membership(
     """Decide whether p lies in the ideal of ``generators``.
 
     Completes the generators first (or reuses a ``trace`` from an
-    earlier ``complete`` run over the same generators), then reduces p.
+    earlier ``complete`` run over the same generators), then reduces p
+    under a fresh ``StepBudget(max_steps)``, with or without a trace.
     Raises ``ValueError`` when p is from another ring than the
     generators, or when ``trace`` was completed from other generators:
     its certificates would not be over ``generators``.
@@ -239,7 +240,7 @@ def ideal_membership(
         raise ValueError("query polynomial from a different ring")
     acc, reducers = _prepare(p, trace.basis)
     steps = []
-    remainder = _normal_form_keyed(acc, reducers, strategy, None, steps)
+    remainder = _normal_form_keyed(acc, reducers, strategy, StepBudget(max_steps), steps)
     if remainder:
         return MembershipResult(False, None, remainder)
     rows = _fill_rows(p.ring, trace._rows, [m for m, _, _ in steps])

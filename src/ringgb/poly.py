@@ -277,9 +277,16 @@ class Polynomial:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        result = self.ring.one()
-        for _ in range(n):
-            result = result * self
+        # Binary powering: the ring is commutative, so the order of the
+        # products does not matter.  Squaring stops at n's top bit, so the
+        # degree check raises only for a power past the bound.
+        result, base = self.ring.one(), self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def mul_monomial(self, coeff, term) -> "Polynomial":

@@ -121,19 +121,28 @@ class PackedOrder(TermOrder):
         slots = self._unpack((-key).to_bytes(self._bytes, "big"))
         return self._from_slots(slots) if self._from_slots else slots
 
+    def key_gcd(self, a: int, b: int) -> int:
+        """``heap_key`` of the gcd of s and t from the heap keys a and b of s and t.
+
+        The gcd is the fieldwise minimum of the exponent fields, its
+        degree (below both degrees) their sum.  Only the exponent fields
+        of a and b are read, so either may also be minus packed
+        exponents with no degree field, such as an lcm past the bound.
+        """
+        p, q = -a, -b
+        ge = ((p | self.guard) - q) & self.guard  # the guard bits of the fields where p >= q
+        low = (p ^ ((p ^ q) & (ge - (ge >> FIELD_BITS - 1)))) & self._exponents
+        return -(low | low * self._lift & self._degree)
+
     def key_lcm(self, a: int, b: int, coprime=False) -> int:
         """``heap_key(term_lcm(s, t))`` from the heap keys a and b of s and t.
 
-        It is s*t/gcd(s, t): the gcd is the fieldwise minimum, its degree
-        (below both degrees) the sum of its exponent fields.  With
-        ``coprime``, coprime s and t give a + b unchecked, for a caller
-        that only compares it.
+        It is s*t/gcd(s, t).  With ``coprime``, coprime s and t give
+        a + b unchecked, for a caller that only compares it.
         """
-        p, q, guard = -a, -b, self.guard
-        ge = ((p | guard) - q) & guard  # the guard bits of the fields where p >= q
-        low = (p ^ ((p ^ q) & (ge - (ge >> FIELD_BITS - 1)))) & self._exponents
-        key = a + b + (low | low * self._lift & self._degree)
-        if -key & guard and (low or not coprime):
+        g = self.key_gcd(a, b)
+        key = a + b - g
+        if -key & self.guard and (g or not coprime):
             raise _degree_error()
         return key
 

@@ -6,6 +6,7 @@ import pytest
 
 from ringgb.cli import build_arg_parser, run
 from ringgb.completion import DEFAULT_STEP_LIMIT
+from ringgb.reduction import StepLimitExceeded
 
 GOLDEN_FIELD = "x - y^2\ny^3 - 1\n"
 GOLDEN_INT = "x*y\n2*x\n3*y\n"
@@ -207,6 +208,31 @@ def test_max_steps_bounds_a_completion_that_takes_no_steps():
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == "error: exceeded the configured limit of 1000 reduction steps\n"
+
+
+@pytest.mark.parametrize(
+    "command, ring", [("nf", "qq"), ("member", "gf(32003)"), ("member", "zz")]
+)
+def test_max_steps_bounds_the_query_reduction(command, ring):
+    # The completed basis is x - y itself; the query then needs 20,000,000
+    # steps, each of which trades one x for one y.
+    args = (command, "--ring", ring, "--vars", "x,y", "--max-steps", "1000")
+    result = invoke(*args, "x^20000000", "x - y", timeout=60)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: exceeded the configured limit of 1000 reduction steps\n"
+
+
+@pytest.mark.parametrize("command, answer", [("nf", "0\n"), ("member", "YES\n")])
+def test_max_steps_admits_a_query_of_exactly_that_many_steps(command, answer):
+    # x^20 - y^20 reduces to 0 in 20 steps against the basis x - y, whose
+    # completion takes none.
+    argv = [command, "--ring", "qq", "--vars", "x,y", "--max-steps", "20", "x^20 - y^20", "x - y"]
+    code, out, err = run_in_process(argv)
+    assert (code, out[: len(answer)], err) == (0, answer, "")
+    argv[6] = "19"
+    with pytest.raises(StepLimitExceeded, match="limit of 19 reduction steps"):
+        run_in_process(argv)
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "ten"])

@@ -17,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 from ringgb import (
     PolyRing,
     SeededRandomStrategy,
+    StepBudget,
+    StepLimitExceeded,
     complete,
     ideal_membership,
     normal_form,
@@ -103,3 +105,21 @@ def test_membership_certificates_expand_to_the_query(ring_name, data):
     result = ideal_membership(p, gens, trace=trace)
     assert result.is_member
     assert naive.combination(ring.coeff_ring, result.certificate, gens) == query
+
+
+@pytest.mark.parametrize("ring_name", ["qq", "gf(32003)", "zz"])
+@pytest.mark.parametrize("with_trace", [False, True], ids=["completed", "traced"])
+def test_membership_reduces_the_query_within_max_steps(ring_name, with_trace):
+    ring = PolyRing(ring_from_string(ring_name), ["x", "y"])
+    x, y = ring.gens()
+    gens = [x - y]
+    trace = complete(gens) if with_trace else None
+    # x^20 - y^20 takes 20 steps; x^20000000 would take 20,000,000.
+    budget = StepBudget()
+    assert not normal_form(x**20 - y**20, gens, budget=budget)
+    assert budget.used == 20
+    assert ideal_membership(x**20 - y**20, gens, max_steps=20, trace=trace).is_member
+    with pytest.raises(StepLimitExceeded, match="limit of 19 reduction steps"):
+        ideal_membership(x**20 - y**20, gens, max_steps=19, trace=trace)
+    with pytest.raises(StepLimitExceeded, match="limit of 1000 reduction steps"):
+        ideal_membership(x**20_000_000, gens, max_steps=1000, trace=trace)

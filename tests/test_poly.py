@@ -160,6 +160,28 @@ def test_product_and_power():
         (x + y) ** -1
 
 
+@pytest.mark.parametrize("R", RINGS, ids=repr)
+def test_power_equals_repeated_products(R):
+    x, y = R.gens()[:2]
+    for p in (x, 2 * x - y + 1, x * y**2 - 3 * x + 2, R.zero(), R.constant(3)):
+        product = R.one()
+        for n in range(9):
+            assert p**n == product
+            product = product * p
+
+
+def test_large_powers_take_squarings_not_products():
+    x, y = QQ_XY.gens()
+    # 2^31 is the bound: the 31st squaring passes it and raises at once.
+    with pytest.raises(ValueError, match="out of range"):
+        x ** (2**31)
+    with pytest.raises(ValueError, match="out of range"):
+        (x * y**5) ** (2**30)
+    assert x ** (2**31 - 1) == QQ_XY.monomial(1, (2**31 - 1, 0))
+    assert x**200000 == QQ_XY.monomial(1, (200000, 0))
+    assert (x * y) ** 200000 == QQ_XY.monomial(1, (200000, 200000))
+
+
 def test_multiplication_matches_repeated_addition():
     rng = random.Random(22)
     for _ in range(150):

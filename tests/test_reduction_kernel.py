@@ -15,7 +15,7 @@ import random
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ringgb import Integers, PolyRing, PrimeField, Rationals, complete
 from ringgb.pairs import combinations_for, records_of
@@ -29,7 +29,7 @@ from ringgb.reduction import (
     normal_form_with_cofactors,
     reduces_to_zero,
 )
-from ringgb.terms import TermOrder, term_divides
+from ringgb.terms import DEGREE_BOUND, TermOrder, term_divides
 
 import rescan_reduction
 from corpus import corpus
@@ -110,24 +110,34 @@ def test_divisor_memo_holds_the_current_basis_answer_and_append_empties_it():
     x, y = R.gens()
     key = R.order.heap_key
     reducers = _Reducers([x**2 * y, y**2 - x])
-    kt = key((2, 2))
+    # The heads' lcm is x^2*y^2, the gcd of x^3*y^2 and of x^2*y^3 with
+    # it: the first lookup stores its one list under both keys, and the
+    # second finds it under the gcd's.
+    kt, ku, kg = key((3, 2)), key((2, 3)), key((2, 2))
     assert reducers.divisors(kt) == [0, 1]
-    assert reducers.memo[kt] == [0, 1]
-    # The first new head does not divide x^2*y^2; the second does and
-    # sorts below both older heads.
+    assert reducers.memo == {kt: [0, 1], kg: [0, 1]}
+    assert reducers.divisors(ku) is reducers.memo[kt] is reducers.memo[kg]
+    assert set(reducers.memo) == {kt, ku, kg}
+    # The first new head does not divide x^3*y^2; the second does and
+    # sorts below both older heads.  The lcm is now x^2*y^3.
     reducers.append(x * y**3 + 1)
     assert reducers.memo == {}
     reducers.append(x + y)
     assert reducers.memo == {}
     assert reducers.divisors(kt) == [0, 1, 3]
-    assert reducers.memo[kt] == [0, 1, 3]
+    assert reducers.memo == {kt: [0, 1, 3], kg: [0, 1, 3]}
     assert reducers.divisors(key((1, 0))) == [3]
     assert reducers.divisors(key((0, 0))) == []
 
 
-# Exponents small enough to divide one another, and as large as the CI's
-# runaway binomials.
-exponents = st.integers(0, 3) | st.sampled_from((99_999, 100_000)) | st.integers(0, 10**5)
+# Exponents small enough to divide one another, as large as the CI's
+# runaway binomials, and next to the bound.
+exponents = (
+    st.integers(0, 3)
+    | st.sampled_from((99_999, 100_000))
+    | st.integers(0, 10**5)
+    | st.integers(DEGREE_BOUND - 4, DEGREE_BOUND - 1)
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -141,29 +151,53 @@ exponents = st.integers(0, 3) | st.sampled_from((99_999, 100_000)) | st.integers
         )
     )
 )
+# Under deglex the lcm of the two heads has a degree past the bound.
+@example((2, "deglex", None, [
+    (False, (1, 1), 0),
+    (True, (DEGREE_BOUND - 1, 0), 0),
+    (True, (0, DEGREE_BOUND - 1), 0),
+    (False, (DEGREE_BOUND - 2, 1), 0),
+    (False, (0, DEGREE_BOUND - 1), 0),
+]))
+@example((2, "lex", (1, 0), [
+    (True, (2, DEGREE_BOUND - 1), 0),
+    (True, (DEGREE_BOUND - 1, 1), 0),
+    (False, (DEGREE_BOUND - 1, DEGREE_BOUND - 1), 0),
+]))
 def test_divisor_index_finds_the_heads_a_test_of_every_head_finds(run):
-    # Appends interleave with lookups; a lookup may target a multiple of a
-    # head, and every term is looked up again at the end, so terms are
-    # looked up again after the appends that emptied the memo.
+    # Appends interleave with lookups, from an empty index on; a lookup may
+    # target a multiple of a head, and every term is looked up again at
+    # the end, so terms are looked up again after the appends that emptied
+    # the memo.  Each answer of a public call's index also sits, as the
+    # same list, under the key of the term's gcd with the heads' lcm; an
+    # index that keeps tails bisects each miss.  Terms past the bound are
+    # skipped.
     nvars, kind, precedence, ops = run
     order = TermOrder(kind, precedence)
     R = PolyRing(Rationals(), [f"x{i}" for i in range(nvars)], order)
-    reducers, heads, seen = _Reducers((), R), [], []
+    reducers, kept, heads, seen = _Reducers((), R), _Reducers((), R, keep_tails=True), [], []
 
     def check(t):
         kt = R.order.heap_key(t)
         expected = [i for i, h in enumerate(heads) if term_divides(h, t)]
-        assert reducers.divisors(kt) == expected
-        assert reducers.memo[kt] == expected
+        assert reducers.divisors(kt) == kept.divisors(kt) == expected
+        assert reducers.memo[kt] == kept.memo[kt] == expected
+        lcm = [max((h[v] for h in heads), default=0) for v in range(nvars)]
+        assert reducers.memo[R.order.heap_key(tuple(map(min, t, lcm)))] is reducers.memo[kt]
 
     for is_head, t, pick in ops:
+        if heads and not is_head and pick % 2:
+            t = tuple(a + b % 4 for a, b in zip(heads[pick % len(heads)], t))
+        try:
+            R.order.heap_key(t)
+        except ValueError:  # an exponent or, under deglex, the degree past the bound
+            continue
         if is_head:
             reducers.append(R.monomial(1, t))
-            assert reducers.memo == {}
+            kept.append(R.monomial(1, t))
+            assert reducers.memo == kept.memo == {}
             heads.append(t)
             continue
-        if heads and pick % 2:
-            t = tuple(a + b % 4 for a, b in zip(heads[pick % len(heads)], t))
         seen.append(t)
         check(t)
     for t in seen:

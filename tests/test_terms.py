@@ -231,8 +231,13 @@ def test_packed_keys_agree_with_the_tuple_helpers(case):
             packed.key_lcm(ks, kt)
     else:
         assert packed.key_lcm(ks, kt) == packed.key_lcm(kt, ks) == lcm
-    # The bound of a set of keys holds their largest exponents.
-    assert packed.term_from_heap_key(packed.key_bound([(1, ks), (1, kt)])) == term_lcm(s, t)
+    # The gcd of two terms is a term, and the bound of a set of keys holds
+    # their largest exponents; the gcd reads only the bound's exponents.
+    gcd = key(tuple(map(min, s, t)))
+    assert packed.key_gcd(ks, kt) == packed.key_gcd(kt, ks) == gcd
+    bound = packed.key_bound([(1, ks), (1, kt)])
+    assert packed.term_from_heap_key(bound) == term_lcm(s, t)
+    assert packed.key_gcd(ks, bound) == ks and packed.key_gcd(bound, kt) == kt
     # A shifted tail is checked once, against its polynomial's tail bound:
     # when s times the head is a term, the check passes exactly when s
     # times the tail is one too.
