@@ -84,7 +84,7 @@ def combinations_for(reducers, record):
     k1, tail1 = reducers.shifted(i, kl, gcd)
     k2, tail2 = reducers.shifted(j, kl, gcd)
     add, mul, is_zero = form.add, form.mul, form.is_zero
-    h1, h2 = reducers.keyed[i][0][0], reducers.keyed[j][0][0]
+    h1, h2 = reducers.lead[i], reducers.lead[j]
     out = []
     for c1, c2 in form.pair_rows(heads[i][1], heads[j][1], gcd):
         q = {} if is_zero(c1) else {ku: mul(cb, c1) for cb, ku in tail1}

@@ -24,7 +24,7 @@ import re
 from fractions import Fraction
 
 from .rings import CoefficientRing, RingError
-from .terms import TermOrder, packed_order
+from .terms import DEGREE_BOUND, TermOrder, _degree_error, packed_order
 
 MAX_VARIABLES = 16
 
@@ -277,9 +277,18 @@ class Polynomial:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be non-negative integers")
+        order = self.ring.order
+        if n > 1 and self:
+            # Over a domain each variable's largest exponent in p^n, and
+            # under deglex its degree, is n times p's: check before any product.
+            if order.kind == "deglex":
+                largest = sum(self.head_term)
+            else:
+                largest = max(order.term_from_heap_key(order.key_bound(self._keyed)))
+            if largest * n >= DEGREE_BOUND:
+                raise _degree_error()
         # Binary powering: the ring is commutative, so the order of the
-        # products does not matter.  Squaring stops at n's top bit, so the
-        # degree check raises only for a power past the bound.
+        # products does not matter.  Squaring stops at n's top bit.
         result, base = self.ring.one(), self
         while n:
             if n & 1:

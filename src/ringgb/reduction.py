@@ -66,10 +66,8 @@ These three also keep each step's shifted tail, so that a repeated step
 (most of a completion's steps are) is one dict read; a pair (i, j) at
 lcm l reads the same entries, as s1*basis[i] and s2*basis[j] are the
 steps of i and j at l.  A public call seldom repeats a step and keeps
-none: the loop builds each step's shifted tail inline, one list from
-the reducer's stored tail, checked once against its bound.  Within one
-reduction, ``_steps`` keeps each pending term's candidate steps until a
-step changes its coefficient.
+none.  Within one reduction, ``_steps`` keeps each pending term's
+candidate steps until a step changes its coefficient.
 """
 
 from __future__ import annotations
@@ -164,8 +162,9 @@ class _Reducers:
     ``ring`` is the ``PolyRing`` of the basis, by default the first
     element's; ``append`` rejects a zero element or one from another
     ring.  ``form`` is the ``_KernelForm`` of its coefficients.
-    ``keyed[i]`` holds basis element i's keyed monomials in that form,
-    and ``heads[i]`` its head as ``(heap key, prepared coefficient)``.
+    ``lead[i]`` holds basis element i's head coefficient and ``tail[i]``
+    its keyed monomials below the head, both in that form, and
+    ``heads[i]`` its head as ``(heap key, prepared coefficient)``.
     ``memo`` maps a heap key to the indexes, in basis order, of the
     heads that divide it.  ``append`` empties it in place, as readers
     may hold the dict itself.
@@ -188,19 +187,18 @@ class _Reducers:
     ``structured`` benchmark, where the gcd key found 167): there the
     gcd costs more than it saves, and a miss is bisected at once.
 
-    ``tail[i]`` holds element i's keyed monomials below its head, and
-    ``bounds[i]`` their ``tail_bound``, which each shifted tail is
-    checked against once.  With ``keep_tails``, ``tails`` maps ``(i,
-    kt)`` to ``shifted(i, kt)``: a step of reducer i at kt and a pair of i
-    at lcm kt read the same entry, which never goes stale as basis
-    elements never change.  Otherwise ``tails`` is None and each read
-    builds its entry anew.
+    ``bounds[i]`` is the ``tail_bound`` of element i, which ``shift``
+    checks each shifted tail against once.  With ``keep_tails``,
+    ``tails`` maps ``(i, kt)`` to ``shift(i, kt)``: a step of reducer i
+    at kt and a pair of i at lcm kt read the same entry, which never
+    goes stale as basis elements never change.  Otherwise ``tails`` is
+    None and each read builds its entry anew.
     """
 
     def __init__(self, basis, ring=None, *, keep_tails=False):
         self.ring = basis[0].ring if ring is None else ring
         self.form = self.ring.coeff_ring._kernel_form()
-        self.keyed, self.heads, self.tail, self.bounds, self.memo = [], [], [], [], {}
+        self.lead, self.tail, self.heads, self.bounds, self.memo = [], [], [], [], {}
         self.tails = {} if keep_tails else None
         self.lcm = 0
         self.values = [[] for _ in range(self.ring.nvars)]
@@ -219,9 +217,9 @@ class _Reducers:
             keyed = tuple((enter(c), k) for c, k in keyed)
         bit = 1 << len(self.heads)
         self.memo.clear()
-        self.keyed.append(keyed)
-        self.heads.append((keyed[0][1], self.form.prepare(keyed[0][0])))
+        self.lead.append(keyed[0][0])
         self.tail.append(keyed[1:])
+        self.heads.append((keyed[0][1], self.form.prepare(keyed[0][0])))
         self.bounds.append(self.ring.order.tail_bound(keyed))
         self.lcm = self.ring.order.key_bound(((None, self.lcm), keyed[0]))
         for e, values, below in zip(self.ring.order.term_from_heap_key(keyed[0][1]), self.values, self.below):
@@ -234,21 +232,23 @@ class _Reducers:
                 for j in range(k + 1, len(below)):
                     below[j] |= bit
 
-    def shifted(self, i, kt, keep=True):
-        """``(ks, [(c, kb + ks), ...])``: ks the key of s with s*HT(i) at ``kt``, i's tail times s.
+    def shift(self, i, kt, keep=True):
+        """A new ``(ks, [(c, kb + ks), ...])``: ks the key of s with s*HT(i) at ``kt``, i's tail times s.
 
-        It is read from ``tails`` when that holds it; a new entry is
-        stored there when ``keep`` and the index keeps tails.  It raises
-        ``ValueError`` when a term of it would pass the bound.
+        It is stored in ``tails`` when ``keep`` and the index keeps tails.
+        It raises ``ValueError`` when a term of it would pass the bound.
         """
-        entry = None if self.tails is None else self.tails.get((i, kt))
-        if entry is None:
-            ks = kt - self.heads[i][0]
-            self.ring.order.check(self.bounds[i] + ks)
-            entry = ks, [(cb, kb + ks) for cb, kb in self.tail[i]]
-            if keep and self.tails is not None:
-                self.tails[i, kt] = entry
+        ks = kt - self.heads[i][0]
+        self.ring.order.check(self.bounds[i] + ks)
+        entry = ks, [(cb, kb + ks) for cb, kb in self.tail[i]]
+        if keep and self.tails is not None:
+            self.tails[i, kt] = entry
         return entry
+
+    def shifted(self, i, kt, keep=True):
+        """``shift(i, kt, keep)``, unless ``tails`` holds its entry already."""
+        entry = None if self.tails is None else self.tails.get((i, kt))
+        return entry or self.shift(i, kt, keep)
 
     def divisors(self, kt):
         """Indexes of the heads dividing heap key ``kt``, in basis order."""
@@ -332,9 +332,7 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
         ints = ratios = None
     known = {}  # the candidate steps of pending terms, for ``_steps``
     heads, memo, tails = reducers.heads, reducers.memo, reducers.tails
-    tail_of, bounds, divisors_of, get = reducers.tail, reducers.bounds, reducers.divisors, acc.get
-    order = reducers.ring.order
-    guard = order.guard
+    divisors_of, shift, get = reducers.divisors, reducers.shift, acc.get
     used, limit = (0, inf) if budget is None else (budget.used, budget.limit)
     limit = inf if limit is None else limit
     # A coefficient that cancels stays in ``acc`` as a zero entry, so
@@ -382,7 +380,7 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
                 i, k, d = chosen.reducer, chosen.coefficient, chosen.remainder
                 if enter is not None:
                     k, d = enter(k), enter(d)
-                target = order.heap_key(chosen.term)
+                target = reducers.ring.order.heap_key(chosen.term)
                 acc[target] = d
                 c = acc.pop(kt)
             used += 1
@@ -390,15 +388,7 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
                 budget.used = used - 1
                 budget.spend()  # raises StepLimitExceeded
             kept = None if tails is None else tails.get((i, target))
-            if kept is None:  # ``shifted(i, target)``, inline
-                ks = target - heads[i][0]
-                if -(bounds[i] + ks) & guard:
-                    order.check(bounds[i] + ks)  # raises
-                tail = [(cb, kb + ks) for cb, kb in tail_of[i]]
-                if tails is not None:
-                    tails[i, target] = ks, tail
-            else:
-                ks, tail = kept
+            ks, tail = kept or shift(i, target)
             if ints is not None:
                 for cb, ku in tail:
                     old = get(ku)
@@ -461,7 +451,7 @@ def normal_form_with_cofactors(p: Polynomial, basis, strategy=None, budget=None)
     acc, reducers = _prepare(p, basis)
     steps = []
     q = _normal_form_keyed(acc, reducers, strategy, budget, steps)
-    count = len(reducers.keyed)
+    count = len(reducers.heads)
     row = _row_sum(reducers.form, p.ring.order, _unit_rows(reducers.form, p.ring, range(count)), steps)
     return q, list(_row_polynomials(p.ring, row, count))
 

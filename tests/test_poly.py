@@ -172,14 +172,21 @@ def test_power_equals_repeated_products(R):
 
 def test_large_powers_take_squarings_not_products():
     x, y = QQ_XY.gens()
-    # 2^31 is the bound: the 31st squaring passes it and raises at once.
-    with pytest.raises(ValueError, match="out of range"):
-        x ** (2**31)
-    with pytest.raises(ValueError, match="out of range"):
-        (x * y**5) ** (2**30)
+    # 2^31 is the bound: a power past it raises before any product, even
+    # one whose squarings below the top bit would grow without end.
+    for p, n in ((x, 2**31), (x * y**5, 2**30), (x + y, 2**31), (3 * x * y**5 - 1, 2**30)):
+        with pytest.raises(ValueError, match="out of range"):
+            p**n
     assert x ** (2**31 - 1) == QQ_XY.monomial(1, (2**31 - 1, 0))
     assert x**200000 == QQ_XY.monomial(1, (200000, 0))
     assert (x * y) ** 200000 == QQ_XY.monomial(1, (200000, 200000))
+    # Under deglex the bound is also on the degree.
+    u, v = PolyRing(Rationals(), ["u", "v"], "deglex").gens()
+    with pytest.raises(ValueError, match="out of range"):
+        (u * v) ** (2**30)
+    with pytest.raises(ValueError, match="out of range"):
+        (u * v + 1) ** (2**30)
+    assert (u * v) ** (2**30 - 1) == (u * v) ** (2**30 - 2) * u * v
 
 
 def test_multiplication_matches_repeated_addition():
