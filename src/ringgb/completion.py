@@ -38,7 +38,7 @@ from itertools import groupby
 
 from .pairs import PairQueue, combinations_for, records_of
 from .poly import Polynomial
-from .reduction import StepBudget, _fill_rows, _normal_form_keyed, _prepare, _reduce, _Reducers
+from .reduction import StepBudget, _Basis, _fill_rows, _normal_form_keyed, _prepare, _reduce, _Reducers
 from .reduction import normal_form  # noqa: F401  (read as completion.normal_form by perfbench)
 from .reduction import _row_polynomials, _row_sum, _unit_rows
 
@@ -55,7 +55,8 @@ class CompletionTrace:
     in basis element ``m``: basis[m] = sum(certificates[m][g] * generators[g]).
     They are summed on first read, from ``_rows``: each element's row or,
     until read, its derivation (``reduction._fill_rows``), which takes no
-    part in ``==``, ``hash`` or ``repr``.
+    part in ``==``, ``hash`` or ``repr``.  ``basis`` is a tuple that
+    carries the divisor index of every query against it (``reduction._Basis``).
     ``iterations`` counts pair polynomials examined (normal forms taken),
     ``pairs_processed`` counts queue records drained, skipped ones
     included, and ``pairs_skipped`` is ``(product, chain)``: the records
@@ -125,7 +126,7 @@ def complete(generators, *, strategy=None, max_steps=DEFAULT_STEP_LIMIT) -> Comp
 
     return CompletionTrace(
         generators=gens,
-        basis=tuple(basis),
+        basis=_Basis(basis),
         added=tuple(basis[start:]),
         iterations=iterations,
         pairs_processed=queue.popped,
@@ -160,13 +161,13 @@ def interreduce(basis) -> list:
     if any(p.ring != ring for p in polys):
         raise ValueError("basis polynomials belong to different rings")
     reducers = _Reducers((), ring, keep_tails=True)
-    form = reducers.form
+    form, one, unit = reducers.form, ring.coeff_ring.one(), ring.coeff_ring.canonical_unit
     enter = form.enter or (lambda c: c)
     kept, keys = [], {}
     # Ascending head terms are descending head keys; the sort is stable.
     polys.sort(key=lambda p: p.keyed_monomials()[0][1], reverse=True)
     for kt, group in groupby(polys, lambda p: p.keyed_monomials()[0][1]):
-        group = [p.scale(ring.coeff_ring.canonical_unit(p.head_coeff)) for p in group]
+        group = [p if (u := unit(p.head_coeff)) == one else p.scale(u) for p in group]
         coeffs = [enter(p.head_coeff) for p in group]
         best = 0
         for n in range(1, len(group)):
@@ -240,7 +241,7 @@ def ideal_membership(
         raise ValueError("query polynomial from a different ring")
     acc, reducers = _prepare(p, trace.basis)
     steps = []
-    remainder = _normal_form_keyed(acc, reducers, strategy, StepBudget(max_steps), steps)
+    remainder = _normal_form_keyed(p.ring, acc, reducers, strategy, StepBudget(max_steps), steps)
     if remainder:
         return MembershipResult(False, None, remainder)
     rows = _fill_rows(p.ring, trace._rows, [m for m, _, _ in steps])

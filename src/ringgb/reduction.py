@@ -51,23 +51,25 @@ representations for Groebner bases computations", ISSAC 1998).  For each
 variable it keeps the heads' distinct nonzero exponents, sorted,
 each with a bitmask of the heads whose exponent is larger; a head divides
 a term unless its bit is in a mask the term's exponents bisect to, so no
-head is tested on its own.  It also remembers, per heap key, the dividing
-heads in basis order, until the next append empties that memo.  Every
-head divides L, the lcm of the heads, so a head divides t exactly when
-it divides gcd(t, L).  In the index of a public call, a term the memo
-misses is looked up again under the key of that gcd, which many of the
-call's terms share (one ``key_gcd`` on packed keys), and only a miss of
-both is unpacked and bisected; the one list is stored under both keys.
-``complete`` keeps one index for its whole run
-and appends each new element, so a term met again between two appends
-is one dict read; ``is_groebner_basis`` keeps one for its pair walk,
-``interreduce`` one for its pass, and each public call builds its own.
-These three also keep each step's shifted tail, so that a repeated step
-(most of a completion's steps are) is one dict read; a pair (i, j) at
-lcm l reads the same entries, as s1*basis[i] and s2*basis[j] are the
-steps of i and j at l.  A public call seldom repeats a step and keeps
-none.  Within one reduction, ``_steps`` keeps each pending term's
-candidate steps until a step changes its coefficient.
+head is tested on its own.  It also remembers each answer, in basis
+order, until the next append empties that memo.  ``complete`` keeps one
+index for its whole run and appends each new element;
+``is_groebner_basis`` keeps one for its pair walk and ``interreduce`` one
+for its pass.  These three memoize per heap key, so a term met again
+between two appends is one dict read, and keep each step's shifted
+tail, so that a repeated step (most of a completion's steps are) is one
+dict read; a pair (i, j) at lcm l reads the same entries, as
+s1*basis[i] and s2*basis[j] are the steps of i and j at l.  The index
+of a public call keeps no tails, as a query seldom repeats a step.
+Every head divides L, the lcm of the heads, so a head divides t exactly
+when it divides gcd(t, L): that index memoizes under the key of the gcd
+alone (one ``key_gcd`` on packed keys), which many terms share.  The
+``basis`` of a ``CompletionTrace`` is a ``_Basis``, a tuple that carries
+such an index, built at the first reduction against it: every later
+query reuses it and its memo, so a warm query bisects almost nothing.
+Any other basis gets an index of its own for each call.  Within one
+reduction, ``_steps`` keeps each pending term's candidate steps until a
+step changes its coefficient.
 """
 
 from __future__ import annotations
@@ -147,9 +149,32 @@ class SeededRandomStrategy:
         return f"SeededRandomStrategy({self.seed})"
 
 
+class _Basis(tuple):
+    """A completed basis: the tuple of its polynomials, carrying one divisor index.
+
+    ``_prepare`` attaches its ``_Reducers`` as ``_index`` at the first
+    reduction against it, only once built: threads that race there may
+    each build one, and every reader sees a whole index.  Equality, hash
+    and repr are the tuple's.  Pickling and copying keep the polynomials
+    only, since the index holds the kernel form's functions.
+    """
+
+    _index = None
+
+    def __reduce__(self):
+        return _Basis, (tuple(self),)
+
+
 def _prepare(p: Polynomial, basis):
     """p as ``_reduce`` takes it, in the loop's form, and the ``_Reducers`` of ``basis``, checked."""
-    reducers = _Reducers(basis, p.ring)
+    if type(basis) is _Basis:
+        reducers = basis._index
+        if reducers is None:
+            reducers = basis._index = _Reducers(basis)
+        if p.ring is not reducers.ring and p.ring != reducers.ring:
+            raise ValueError("basis polynomial from a different ring")
+    else:
+        reducers = _Reducers(basis, p.ring)
     enter = reducers.form.enter
     if enter is None:
         return {k: c for c, k in p.keyed_monomials()}, reducers
@@ -167,7 +192,8 @@ class _Reducers:
     ``heads[i]`` its head as ``(heap key, prepared coefficient)``.
     ``memo`` maps a heap key to the indexes, in basis order, of the
     heads that divide it.  ``append`` empties it in place, as readers
-    may hold the dict itself.
+    may hold the dict itself.  A list is stored only once complete, so
+    threads that share the index read whole answers.
 
     Head i divides a term exactly when each of i's exponents is <= the
     term's.  Per variable s, ``values[s]`` holds the heads' distinct
@@ -176,16 +202,17 @@ class _Reducers:
     those < 0: at most one of each per head, whatever the exponents'
     size.  ``lcm`` is the ``key_bound`` of the heads, L: every head's
     exponents are at most L's, so a head divides t exactly when it
-    divides gcd(t, L).  Without ``keep_tails`` a memo miss at t looks up
-    the key of that gcd, which many terms share, and stores the one list
-    under both keys; a key is unpacked for the masks only when it is a
-    head's or a miss of both.  Under deglex L's degree field is the
-    largest head degree, not L's degree, which may pass the bound;
-    ``key_gcd`` does not read it.  An index that keeps tails lives
-    across many reductions, its memo catches the repeats, and most of
-    the terms it misses divide L (1,501 of 1,927 misses on a pass of the
-    ``structured`` benchmark, where the gcd key found 167): there the
-    gcd costs more than it saves, and a miss is bisected at once.
+    divides gcd(t, L).  Without ``keep_tails`` the memo is keyed by the
+    key of that gcd alone, which many terms share, so it holds at most
+    one entry per divisor of L that a lookup met, and a key is unpacked
+    for the masks only when its gcd is new.  Under deglex L's degree
+    field is the largest head degree, not L's degree, which may pass the
+    bound; ``key_gcd`` does not read it.  An index that keeps tails is
+    keyed by the term's own key: it lives across many reductions, its
+    memo catches the repeats, and most of the terms it misses divide L
+    (1,501 of 1,927 misses on a pass of the ``structured`` benchmark,
+    where the gcd key found 167), so there the gcd costs more than it
+    saves.
 
     ``bounds[i]`` is the ``tail_bound`` of element i, which ``shift``
     checks each shifted tail against once.  With ``keep_tails``,
@@ -252,22 +279,19 @@ class _Reducers:
 
     def divisors(self, kt):
         """Indexes of the heads dividing heap key ``kt``, in basis order."""
-        memo = self.memo
-        found = memo.get(kt)
+        kg = kt if self.tails is not None else self.ring.order.key_gcd(kt, self.lcm)
+        found = self.memo.get(kg)
         if found is None:
-            kg = kt if self.tails is not None else self.ring.order.key_gcd(kt, self.lcm)
-            found = memo.get(kg)
-            if found is None:
-                fails = 0  # the heads with a larger exponent
-                for e, values, below in zip(self.ring.order.term_from_heap_key(kg), self.values, self.below):
-                    fails |= below[bisect_left(values, -e)]
-                mask = (1 << len(self.heads)) - 1 ^ fails
-                found = memo[kg] = []
-                while mask:
-                    low = mask & -mask
-                    found.append(low.bit_length() - 1)
-                    mask ^= low
-            memo[kt] = found
+            fails = 0  # the heads with a larger exponent
+            for e, values, below in zip(self.ring.order.term_from_heap_key(kg), self.values, self.below):
+                fails |= below[bisect_left(values, -e)]
+            mask = (1 << len(self.heads)) - 1 ^ fails
+            found = []
+            while mask:
+                low = mask & -mask
+                found.append(low.bit_length() - 1)
+                mask ^= low
+            self.memo[kg] = found
         return found
 
 
@@ -333,6 +357,8 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
     known = {}  # the candidate steps of pending terms, for ``_steps``
     heads, memo, tails = reducers.heads, reducers.memo, reducers.tails
     divisors_of, shift, get = reducers.divisors, reducers.shift, acc.get
+    # The memo's key of a term, as ``divisors`` reads it.
+    key_gcd, lcm = (None, 0) if tails is not None else (reducers.ring.order.key_gcd, reducers.lcm)
     used, limit = (0, inf) if budget is None else (budget.used, budget.limit)
     limit = inf if limit is None else limit
     # A coefficient that cancels stays in ``acc`` as a zero entry, so
@@ -351,7 +377,7 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
                 c = n // g, d // g
         if is_zero(c):
             continue
-        divisors = memo.get(kt)
+        divisors = memo.get(kt if key_gcd is None else key_gcd(kt, lcm))
         if divisors is None:
             divisors = divisors_of(kt)
         # Resume after each hit, and scan once more after a round with a hit.
@@ -430,14 +456,14 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
         budget.used = used
 
 
-def _normal_form_keyed(acc: dict, reducers, strategy, budget, steps) -> Polynomial:
-    """Normal form of ``acc``, a dict as ``_reduce`` takes, in ``reducers.ring``."""
-    return Polynomial(reducers.ring, keyed=tuple(_reduce(acc, reducers, strategy, budget, steps)))
+def _normal_form_keyed(ring, acc: dict, reducers, strategy, budget, steps) -> Polynomial:
+    """Normal form of ``acc``, a dict as ``_reduce`` takes, in ``ring``."""
+    return Polynomial(ring, keyed=tuple(_reduce(acc, reducers, strategy, budget, steps)))
 
 
 def normal_form(p: Polynomial, basis, strategy=None, budget=None) -> Polynomial:
     """Reduce p to a fixpoint irreducible with respect to ``basis``."""
-    return _normal_form_keyed(*_prepare(p, basis), strategy, budget, None)
+    return _normal_form_keyed(p.ring, *_prepare(p, basis), strategy, budget, None)
 
 
 def normal_form_with_cofactors(p: Polynomial, basis, strategy=None, budget=None):
@@ -450,7 +476,7 @@ def normal_form_with_cofactors(p: Polynomial, basis, strategy=None, budget=None)
     """
     acc, reducers = _prepare(p, basis)
     steps = []
-    q = _normal_form_keyed(acc, reducers, strategy, budget, steps)
+    q = _normal_form_keyed(p.ring, acc, reducers, strategy, budget, steps)
     count = len(reducers.heads)
     row = _row_sum(reducers.form, p.ring.order, _unit_rows(reducers.form, p.ring, range(count)), steps)
     return q, list(_row_polynomials(p.ring, row, count))

@@ -225,7 +225,7 @@ def test_syzygy_record_and_later_steps_read_the_tails_its_gcd_record_stored():
     # the same entry.
     del calls[:]
     steps = []
-    _normal_form_keyed({kl: 2}, reducers, None, None, steps)
+    _normal_form_keyed(ZZ_XY, {kl: 2}, reducers, None, None, steps)
     assert steps[0] == (0, 1, stored[0, kl][0])
     assert calls[0][:2] == (0, kl) and calls[0][2] is stored[0, kl]
     assert reducers.tails[0, kl] is stored[0, kl]
@@ -235,7 +235,7 @@ def test_syzygy_record_over_a_field_stores_no_tail():
     x, y = GF5_XY.gens()
     basis = [x**2 - y, x * y - 1, y**3 - 1]
     reducers = _Reducers(basis, keep_tails=True)
-    _normal_form_keyed({GF5_XY.order.heap_key((3, 1)): 1}, reducers, None, None, None)
+    _normal_form_keyed(GF5_XY, {GF5_XY.order.heap_key((3, 1)): 1}, reducers, None, None, None)
     before = dict(reducers.tails)
     assert before
     for record in all_records(basis):

@@ -110,14 +110,17 @@ def test_divisor_memo_holds_the_current_basis_answer_and_append_empties_it():
     x, y = R.gens()
     key = R.order.heap_key
     reducers = _Reducers([x**2 * y, y**2 - x])
+    kept = _Reducers([x**2 * y, y**2 - x], keep_tails=True)
     # The heads' lcm is x^2*y^2, the gcd of x^3*y^2 and of x^2*y^3 with
-    # it: the first lookup stores its one list under both keys, and the
-    # second finds it under the gcd's.
+    # it: the first lookup stores its list under the gcd's key alone, and
+    # the second finds it there.  An index that keeps tails keys each
+    # term by its own key.
     kt, ku, kg = key((3, 2)), key((2, 3)), key((2, 2))
-    assert reducers.divisors(kt) == [0, 1]
-    assert reducers.memo == {kt: [0, 1], kg: [0, 1]}
-    assert reducers.divisors(ku) is reducers.memo[kt] is reducers.memo[kg]
-    assert set(reducers.memo) == {kt, ku, kg}
+    assert reducers.divisors(kt) == kept.divisors(kt) == [0, 1]
+    assert reducers.memo == {kg: [0, 1]}
+    assert kept.memo == {kt: [0, 1]}
+    assert reducers.divisors(ku) is reducers.memo[kg]
+    assert set(reducers.memo) == {kg}
     # The first new head does not divide x^3*y^2; the second does and
     # sorts below both older heads.  The lcm is now x^2*y^3.
     reducers.append(x * y**3 + 1)
@@ -125,7 +128,7 @@ def test_divisor_memo_holds_the_current_basis_answer_and_append_empties_it():
     reducers.append(x + y)
     assert reducers.memo == {}
     assert reducers.divisors(kt) == [0, 1, 3]
-    assert reducers.memo == {kt: [0, 1, 3], kg: [0, 1, 3]}
+    assert reducers.memo == {kg: [0, 1, 3]}
     assert reducers.divisors(key((1, 0))) == [3]
     assert reducers.divisors(key((0, 0))) == []
 
@@ -168,9 +171,9 @@ def test_divisor_index_finds_the_heads_a_test_of_every_head_finds(run):
     # Appends interleave with lookups, from an empty index on; a lookup may
     # target a multiple of a head, and every term is looked up again at
     # the end, so terms are looked up again after the appends that emptied
-    # the memo.  Each answer of a public call's index also sits, as the
-    # same list, under the key of the term's gcd with the heads' lcm; an
-    # index that keeps tails bisects each miss.  Terms past the bound are
+    # the memo.  A public call's index holds each answer under the key of
+    # the term's gcd with the heads' lcm alone; an index that keeps tails
+    # holds it under the term's own key.  Terms past the bound are
     # skipped.
     nvars, kind, precedence, ops = run
     order = TermOrder(kind, precedence)
@@ -181,9 +184,10 @@ def test_divisor_index_finds_the_heads_a_test_of_every_head_finds(run):
         kt = R.order.heap_key(t)
         expected = [i for i, h in enumerate(heads) if term_divides(h, t)]
         assert reducers.divisors(kt) == kept.divisors(kt) == expected
-        assert reducers.memo[kt] == kept.memo[kt] == expected
         lcm = [max((h[v] for h in heads), default=0) for v in range(nvars)]
-        assert reducers.memo[R.order.heap_key(tuple(map(min, t, lcm)))] is reducers.memo[kt]
+        kg = R.order.heap_key(tuple(map(min, t, lcm)))
+        assert reducers.memo[kg] == kept.memo[kt] == expected
+        assert (kt in reducers.memo) == (kt == kg)
 
     for is_head, t, pick in ops:
         if heads and not is_head and pick % 2:
