@@ -125,6 +125,7 @@ def run(args: argparse.Namespace, out=None, err=None) -> int:
     texts = read_polynomial_file(args.input) if args.input else []
     poly_ring = PolyRing(ring, variables, TermOrder(args.order))
     generators = [parse_polynomial(text, poly_ring) for text in texts + args.polynomials]
+    query = None if args.command == "gb" else parse_polynomial(args.query, poly_ring)
     strategy = SeededRandomStrategy(args.seed) if args.seed is not None else None
 
     trace = complete(generators, strategy=strategy, max_steps=args.max_steps)
@@ -135,10 +136,8 @@ def run(args: argparse.Namespace, out=None, err=None) -> int:
     if args.command == "gb":
         lines = _format_all(interreduce(trace.basis))
     elif args.command == "nf":
-        query = parse_polynomial(args.query, poly_ring)
         lines = _format_all([normal_form(query, trace.basis, strategy, StepBudget(args.max_steps))])
     else:
-        query = parse_polynomial(args.query, poly_ring)
         outcome = ideal_membership(query, generators, strategy=strategy, max_steps=args.max_steps, trace=trace)
         if outcome.is_member:
             lines = ["YES", *_format_all(outcome.certificate)]

@@ -43,7 +43,6 @@ Every value outside the loop stays as ``element`` returns it.
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from math import gcd
@@ -159,10 +158,9 @@ class CoefficientRing:
     hook of the reduction loop and the pair construction; its default
     runs them on these methods, so a ring overrides it only for speed.
     A new ring writes ``element``, ``from_fraction``, ``add``, ``mul``,
-    ``neg``, ``exact_div``, ``reduce_step``, ``groebner``,
-    ``canonical_unit`` and ``_lcm_pair``, which the default ``syzygies``
-    divides with ``exact_div``; every other method has a default.  A
-    field also sets ``is_field``.
+    ``neg``, ``reduce_step``, ``groebner``, ``syzygies`` and
+    ``canonical_unit``; every other method has a default.  A field also
+    sets ``is_field``.
     """
 
     name = "?"
@@ -212,10 +210,6 @@ class CoefficientRing:
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def exact_div(self, a, b):
-        """a / b when b divides a exactly; raise ``RingError`` otherwise."""
-        raise NotImplementedError
-
     # -- printing ----------------------------------------------------------
 
     def format(self, a) -> str:
@@ -245,14 +239,10 @@ class CoefficientRing:
         raise NotImplementedError
 
     def syzygies(self, a, b):
-        """Generators ``(a1, a2)`` of the solutions of ``a1*a + a2*b = 0``."""
-        a, b = self.element(a), self.element(b)
-        if self.is_zero(a) or self.is_zero(b):
-            raise RingError("syzygy coefficients must be nonzero")
-        common = self._lcm_pair(a, b)
-        return [(self.exact_div(common, a), self.neg(self.exact_div(common, b)))]
+        """Generators ``(a1, a2)`` of the solutions of ``a1*a + a2*b = 0``.
 
-    def _lcm_pair(self, a, b):
+        Raises ``RingError`` when ``a`` or ``b`` is zero.
+        """
         raise NotImplementedError
 
     def _kernel_form(self) -> _KernelForm:
@@ -284,11 +274,6 @@ class _FieldMixin:
 
     is_field = True
 
-    def exact_div(self, a, b):
-        if self.is_zero(b):
-            raise RingError(f"division by zero in {self.name}")
-        return self._div(a, b)
-
     def reduce_step(self, c, b):
         if self.is_zero(b):
             raise RingError("reduction by zero")
@@ -302,8 +287,9 @@ class _FieldMixin:
         row[0] = self._div(self.one(), vals[0])
         return [self.one()], [row]
 
-    def _lcm_pair(self, a, b):
-        return self.one()
+    def syzygies(self, a, b):
+        a, b = self._check_nonzero_list([a, b])
+        return [(self._div(self.one(), a), self.neg(self._div(self.one(), b)))]
 
     def canonical_unit(self, c):
         if self.is_zero(c):
@@ -490,14 +476,6 @@ class Integers(CoefficientRing):
     def neg(self, a):
         return -a
 
-    def exact_div(self, a, b):
-        if b == 0:
-            raise RingError("division by zero in zz")
-        q, r = divmod(a, b)
-        if r:
-            raise RingError(f"{b} does not divide {a} exactly")
-        return q
-
     def reduce_step(self, c, b):
         if b == 0:
             raise RingError("reduction by zero")
@@ -522,8 +500,10 @@ class Integers(CoefficientRing):
             g, row = -g, [-entry for entry in row]
         return [g], [row]
 
-    def _lcm_pair(self, a, b):
-        return abs(a * b) // math.gcd(a, b)
+    def syzygies(self, a, b):
+        a, b = self._check_nonzero_list([a, b])
+        common = abs(a * b) // gcd(a, b)
+        return [(common // a, -(common // b))]
 
     def canonical_unit(self, c):
         if c == 0:

@@ -3,7 +3,9 @@
 Independent oracle for the cross-checks: reduction divides lead
 coefficients directly (no ring reduce-step machinery) and completion
 uses S-polynomials only, so it shares nothing with the gcd/syzygy
-completion path beyond polynomial arithmetic.
+completion path beyond polynomial arithmetic.  Dividing by c multiplies
+by ``canonical_unit(c)``, which over a field is 1/c: every nonzero
+value has the canonical associate 1.
 """
 
 from collections import deque
@@ -32,15 +34,15 @@ def field_normal_form(p, basis):
         else:
             return q
         s, hc, b = target
-        q = q + b.mul_monomial(ring.neg(ring.exact_div(c, hc)), term_div(t, s))
+        q = q + b.mul_monomial(ring.neg(ring.mul(c, ring.canonical_unit(hc))), term_div(t, s))
         start = index
 
 
 def s_polynomial(f, g):
     ring = f.ring.coeff_ring
     t = term_lcm(f.head_term, g.head_term)
-    inv_f = ring.exact_div(ring.one(), f.head_coeff)
-    inv_g = ring.exact_div(ring.one(), g.head_coeff)
+    inv_f = ring.canonical_unit(f.head_coeff)
+    inv_g = ring.canonical_unit(g.head_coeff)
     return f.mul_monomial(inv_f, term_div(t, f.head_term)) - g.mul_monomial(
         inv_g, term_div(t, g.head_term)
     )
@@ -74,6 +76,6 @@ def field_groebner(generators):
     if not basis:
         return []
     ring = basis[0].ring.coeff_ring
-    basis = [p.scale(ring.exact_div(ring.one(), p.head_coeff)) for p in basis]
+    basis = [p.scale(ring.canonical_unit(p.head_coeff)) for p in basis]
     basis.sort(key=lambda p: p.ring.order.sort_key(p.head_term), reverse=True)
     return basis

@@ -200,6 +200,24 @@ def test_max_steps_bounds_the_completion():
     assert result.stderr == "error: exceeded the configured limit of 10 reduction steps\n"
 
 
+CYCLIC5 = (
+    "x0 + x1 + x2 + x3 + x4",
+    "x0*x1 + x0*x4 + x1*x2 + x2*x3 + x3*x4",
+    "x0*x1*x2 + x0*x1*x4 + x0*x3*x4 + x1*x2*x3 + x2*x3*x4",
+    "x0*x1*x2*x3 + x0*x1*x2*x4 + x0*x1*x3*x4 + x0*x2*x3*x4 + x1*x2*x3*x4",
+    "x0*x1*x2*x3*x4 - 1",
+)
+
+
+@pytest.mark.parametrize("command", ["nf", "member"])
+def test_a_malformed_query_is_rejected_before_the_completion(command):
+    # cyclic-5 over zz would run into the step limit; the query is
+    # parsed with the generators, so its fault is the one reported.
+    args = (command, "--ring", "zz", "--order", "deglex", "--vars", "x0,x1,x2,x3,x4", "--max-steps", "20000")
+    result = invoke(*args, "x0^", *CYCLIC5, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", "error: expected an integer exponent (column 4)\n")
+
+
 def test_max_steps_bounds_a_completion_that_takes_no_steps():
     # Each pair polynomial here is an irreducible binomial, so it joins the
     # basis without a reduction step; the queued pairs use up the limit.

@@ -8,7 +8,7 @@ each head as its inverse, and ZZ as ``(b, |b|)``, whose step must give
 the ring's ``(k, d)`` exactly.  Every form's ``pair_rows`` must give the ring's
 own ``groebner`` and ``syzygies`` rows exactly.  A ring written against
 the contract alone keeps the default form and completes exactly as the
-shipped GF(7) does.
+shipped ring it mirrors, GF(7) or ZZ, does.
 """
 
 import random
@@ -149,15 +149,82 @@ def trace_fields(trace):
     )
 
 
-def test_zz_form_completes_as_the_default_form():
+class ContractZZ(CoefficientRing):
+    """ZZ written against the ring contract alone, with no ``Integers`` method underneath."""
+
+    name = "contract-zz"
+
+    def element(self, value):
+        if isinstance(value, Fraction):
+            return self.from_fraction(value.numerator, value.denominator)
+        if isinstance(value, int):
+            return int(value)
+        raise RingError(f"cannot interpret {value!r} in {self.name}")
+
+    def from_fraction(self, numerator, denominator):
+        if denominator == 0 or numerator % denominator:
+            raise RingError(f"non-integer coefficient {numerator}/{denominator} in {self.name}")
+        return numerator // denominator
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def reduce_step(self, c, b):
+        # The symmetric remainder d of c by b lies in (-|b|/2, |b|/2].
+        d = c % abs(b)
+        if 2 * d > abs(b):
+            d -= abs(b)
+        return None if d == c else ((c - d) // b, d)
+
+    def groebner(self, values):
+        vals = self._check_nonzero_list(values)
+        g, row = vals[0], [1] + [0] * (len(vals) - 1)
+        for index in range(1, len(vals)):
+            # Extended Euclid, keeping r = u*g + w*vals[index] and s = x*g + y*vals[index].
+            (r, u, w), (s, x, y) = (g, 1, 0), (vals[index], 0, 1)
+            while s:
+                q = r // s
+                (r, u, w), (s, x, y) = (s, x, y), (r - q * s, u - q * x, w - q * y)
+            unit = -1 if r < 0 else 1
+            g, row = unit * r, [unit * u * entry for entry in row]
+            row[index] = unit * w
+        unit = -1 if g < 0 else 1
+        return [unit * g], [[unit * entry for entry in row]]
+
+    def syzygies(self, a, b):
+        a, b = self._check_nonzero_list([a, b])
+        common = abs(a * b) // gcd(a, b)
+        return [(common // a, -(common // b))]
+
+    def canonical_unit(self, c):
+        return -1 if c < 0 else 1
+
+
+def assert_completes_as_zz(mirror_ring):
+    """Over the zz corpus and katsura-4, ``mirror_ring`` completes and interreduces as ``Integers`` does."""
     ideals = [entry.generators for entry in corpus() if entry.ring_name == "zz"]
     ideals.append(katsura(PolyRing(ZZ, ["u0", "u1", "u2", "u3"], "deglex")))
     for gens in ideals:
         R = gens[0].ring
-        mirror = PolyRing(DefaultFormZZ(), R.variables, R.order)
+        mirror = PolyRing(mirror_ring, R.variables, R.order)
         ours, theirs = complete(gens), complete([mirror.from_monomials(g.monomials) for g in gens])
         assert trace_fields(theirs) == trace_fields(ours)
         assert [p.monomials for p in interreduce(theirs.basis)] == [p.monomials for p in interreduce(ours.basis)]
+
+
+def test_zz_form_completes_as_the_default_form():
+    assert_completes_as_zz(DefaultFormZZ())
+
+
+def test_a_zz_ring_without_the_hook_completes_as_integers():
+    assert ContractZZ._kernel_form is CoefficientRing._kernel_form
+    assert_completes_as_zz(ContractZZ())
 
 
 class ContractGF7(CoefficientRing):
@@ -187,13 +254,8 @@ class ContractGF7(CoefficientRing):
     def neg(self, a):
         return -a % 7
 
-    def exact_div(self, a, b):
-        if b == 0:
-            raise RingError(f"division by zero in {self.name}")
-        return a * pow(b, -1, 7) % 7
-
     def reduce_step(self, c, b):
-        return None if c == 0 else (self.exact_div(c, b), 0)
+        return None if c == 0 else (c * pow(b, -1, 7) % 7, 0)
 
     def groebner(self, values):
         vals = self._check_nonzero_list(values)
@@ -201,8 +263,9 @@ class ContractGF7(CoefficientRing):
         row[0] = pow(vals[0], -1, 7)
         return [1], [row]
 
-    def _lcm_pair(self, a, b):
-        return 1
+    def syzygies(self, a, b):
+        a, b = self._check_nonzero_list([a, b])
+        return [(pow(a, -1, 7), -pow(b, -1, 7) % 7)]
 
     def canonical_unit(self, c):
         return pow(c, -1, 7)
@@ -256,6 +319,8 @@ zz_heads = (
 def test_zz_pair_rows_are_the_rings_groebner_and_syzygies(heads):
     for ring in (ZZ, DefaultFormZZ()):
         assert_pair_rows_are_the_contract(ring, *heads)
+    assert ContractZZ().groebner(list(heads)) == ZZ.groebner(list(heads))
+    assert ContractZZ().syzygies(*heads) == ZZ.syzygies(*heads)
 
 
 nonzero_fractions = values.filter(bool)
@@ -271,6 +336,8 @@ def test_field_pair_rows_are_the_rings_groebner_and_syzygies(qq_heads, gf_heads,
     assert_pair_rows_are_the_contract(QQ, *qq_heads)
     assert_pair_rows_are_the_contract(PrimeField(32003), *gf_heads)
     assert_pair_rows_are_the_contract(ContractGF7(), *gf7_heads)
+    assert ContractGF7().groebner(list(gf7_heads)) == PrimeField(7).groebner(list(gf7_heads))
+    assert ContractGF7().syzygies(*gf7_heads) == PrimeField(7).syzygies(*gf7_heads)
 
 
 # The inline forms: GF(p) sums its products unreduced and takes them
@@ -316,7 +383,7 @@ def default_form_mirror(ring):
 
 def test_the_int_forms_name_their_modulus():
     assert [ring._kernel_form().ints for ring in INT_RINGS] == [2, 5, 32003, 2**61 - 1, 2**80 - 65, 0]
-    for ring in (QQ, DefaultFormGF(5), DefaultFormZZ(), ContractGF7()):
+    for ring in (QQ, DefaultFormGF(5), DefaultFormZZ(), ContractGF7(), ContractZZ()):
         assert ring._kernel_form().ints is None
     assert [ring for ring in (*INT_RINGS, QQ, DefaultFormQQ(), ContractGF7()) if ring._kernel_form().ratios] == [QQ]
 
