@@ -26,8 +26,8 @@ S-polynomials whose reduction is known to be unnecessary, in the
 *Groebner Bases*, 1993, chapter 5).  The product criterion skips a
 pair whose head terms are coprime: their keys sum to the lcm's.  The
 chain criterion skips a pair (i, j) when some other element k has a
-head dividing lcm(i, j) and neither (i, k) nor (j, k) is still queued:
-both were treated, so the S-polynomial of (i, j) has a representation
+head dividing lcm(i, j) and (i, k) and (j, k) have both popped: both
+were treated, so the S-polynomial of (i, j) has a representation
 below its lcm through theirs.  A skipped record counts as treated.
 The chain criterion asks the divisor index of the ``_Reducers`` which
 heads divide the lcm.  Over ``zz`` the criteria would need conditions
@@ -108,12 +108,13 @@ class PairQueue:
     """The records ``complete`` has still to treat, under the policy above.
 
     ``add(j)`` queues the ``records_of`` element j, already appended to
-    ``reducers``, charging ``budget`` one unit each.  An entry is minus
-    the lcm's heap key, its packed sort vector, then the record, so ties
-    go by index pair, gcd before syzygy (``"gcd" < "syzygy"``).
-    Iterating yields the popped records that no criterion skips; the
-    basis may grow meanwhile.  ``popped`` counts every popped record,
-    and ``product`` and ``chain`` those each criterion skipped.
+    ``reducers``, each record as ``(-kl, i, j, kind)`` and charging
+    ``budget`` one unit: smallest lcm first, then by index pair, gcd
+    before syzygy (``"gcd" < "syzygy"``).  Iterating yields the popped
+    records that no criterion skips; the basis may grow meanwhile.
+    Over a field, bit k of ``treated[i]`` is set once (i, k) has popped,
+    that is, once it is no longer queued.  ``popped`` counts every
+    popped record, and ``product`` and ``chain`` those each skipped.
     """
 
     def __init__(self, reducers, budget):
@@ -121,36 +122,32 @@ class PairQueue:
         self.budget = budget
         self.field = reducers.ring.coeff_ring.is_field
         self.heap = []
-        self.pending = set()  # over a field: the (i, j) of the records still queued
+        self.treated = []
         self.popped = self.product = self.chain = 0
 
     def add(self, j: int):
         heap, spend = self.heap, self.budget.spend
-        for record in records_of(self.reducers, j):
+        for i, _, kl, kind in records_of(self.reducers, j):
             spend()
-            heappush(heap, (-record[2], *record))
-        if self.field:
-            self.pending.update((i, j) for i in range(j))
+            heappush(heap, (-kl, i, j, kind))
+        self.treated.append(0)
 
     def __iter__(self):
-        heap, pending, reducers = self.heap, self.pending, self.reducers
+        heap, treated, reducers = self.heap, self.treated, self.reducers
         heads = reducers.heads
         while heap:
-            record = heappop(heap)[1:]
+            nkl, i, j, kind = heappop(heap)
+            kl = -nkl
             self.popped += 1
             if self.field:
-                i, j, kl, _ = record
-                pending.discard((i, j))
+                treated[i] |= 1 << j
+                treated[j] |= 1 << i
                 if kl == heads[i][0] + heads[j][0]:
                     self.product += 1  # coprime head terms: the S-polynomial reduces to zero
                     continue
-                # A head k dividing the lcm, with (i, k) and (j, k) both treated.
-                if any(
-                    k != i and k != j
-                    and (min(i, k), max(i, k)) not in pending
-                    and (min(j, k), max(j, k)) not in pending
-                    for k in reducers.divisors(kl)
-                ):
+                # A head k dividing the lcm, with (i, k) and (j, k) both treated (never k = i or j).
+                both = treated[i] & treated[j]
+                if any(both >> k & 1 for k in reducers.divisors(kl)):
                     self.chain += 1
                     continue
-            yield record
+            yield i, j, kl, kind

@@ -60,7 +60,8 @@ between two appends is one dict read, and keep each step's shifted
 tail, so that a repeated step (most of a completion's steps are) is one
 dict read; a pair (i, j) at lcm l reads the same entries, as
 s1*basis[i] and s2*basis[j] are the steps of i and j at l.  The index
-of a public call keeps no tails, as a query seldom repeats a step.
+of a public call keeps no tails, which would stay in memory as long
+as its basis does, though queries repeat steps too.
 Every head divides L, the lcm of the heads, so a head divides t exactly
 when it divides gcd(t, L): that index memoizes under the key of the gcd
 alone (one ``key_gcd`` on packed keys), which many terms share.  The

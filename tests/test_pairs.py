@@ -1,11 +1,12 @@
 import random
+import tracemalloc
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import add, le
 
 import pytest
 
-from ringgb.completion import is_groebner_basis
+from ringgb.completion import complete, is_groebner_basis
 from ringgb.pairs import GCD, SYZYGY, PairQueue, combinations_for, records_of
 from ringgb.poly import PolyRing
 from ringgb.reduction import StepBudget, StepLimitExceeded, _normal_form_keyed, _Reducers
@@ -477,16 +478,26 @@ def drain_growing(queue, basis, extra, reducers=None):
     return yielded, (queue.popped, queue.product, queue.chain)
 
 
-@pytest.mark.parametrize("coeff_ring", [PrimeField(5), Rationals()])
-def test_queue_criteria_match_a_scan_of_every_head_on_a_growing_basis(coeff_ring):
+@pytest.mark.parametrize(
+    "coeff_ring, variables, gens, size, rounds",
+    [
+        pytest.param(PrimeField(5), "xyz", 4, 8, 40, id="coeff_ring0"),
+        pytest.param(Rationals(), "xyz", 4, 8, 40, id="coeff_ring1"),
+        # Each ``treated`` bitset spans three 30-bit int digits, and some
+        # chain skips rest on a head past the 60th alone.
+        pytest.param(PrimeField(5), "xyzw", 60, 90, 3, id="past_60_elements"),
+    ],
+)
+def test_queue_criteria_match_a_scan_of_every_head_on_a_growing_basis(coeff_ring, variables, gens, size, rounds):
     # The queue asks the divisor index for the heads dividing each popped
     # lcm, and later appends must extend the entries those lookups made.
-    ring = PolyRing(coeff_ring, ["x", "y", "z"], "deglex")
+    ring = PolyRing(coeff_ring, list(variables), "deglex")
     rng = random.Random(47)
     totals = [0, 0, 0]
-    for _ in range(40):
-        polys = [random_sparse(rng, ring) for _ in range(8)]
-        start, extra = polys[:4], polys[4:]
+    largest = 0
+    for _ in range(rounds):
+        polys = [random_sparse(rng, ring) for _ in range(size)]
+        start, extra = polys[:gens], polys[gens:]
         basis = list(start)
         reducers = _Reducers(basis)
         got = drain_growing(PairQueue(reducers, StepBudget()), basis, extra, reducers)
@@ -494,5 +505,24 @@ def test_queue_criteria_match_a_scan_of_every_head_on_a_growing_basis(coeff_ring
         want = drain_growing(ScanningQueue(reference_basis), reference_basis, extra)
         assert got == want
         totals = [t + n for t, n in zip(totals, got[1])]
+        largest = max(largest, len(basis))
     popped, product, chain = totals
     assert product > 0 and chain > 0 and popped > product + chain
+    assert largest == size
+
+
+def test_queue_memory_per_charged_step():
+    # No pair polynomial of this ideal takes a reduction step, so the queued
+    # records alone reach the limit, at about 300 elements, and the peak is
+    # what the queue keeps per record: one heap tuple (about 120 bytes a
+    # step), with no room for a second copy of each pair.
+    x, y = QQ_XY.gens()
+    tracemalloc.start()
+    try:
+        with pytest.raises(StepLimitExceeded) as raised:
+            complete([x**100000 * y - 1, y**100000 * x - 1], max_steps=50_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(raised.value) == "exceeded the configured limit of 50000 reduction steps"
+    assert peak <= 200 * 50_000
