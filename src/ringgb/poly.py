@@ -49,8 +49,6 @@ class PolyRing:
             order = TermOrder(order)
         elif not isinstance(order, TermOrder):
             raise ValueError(f"bad term order {order!r}; expected 'lex', 'deglex' or a TermOrder")
-        if order.precedence is not None and len(order.precedence) != len(names):
-            raise ValueError("order precedence length does not match variable count")
         self.coeff_ring = coeff_ring
         self.variables = names
         self.order = packed_order(order, len(names))
@@ -337,14 +335,13 @@ def format_polynomial(p: Polynomial) -> str:
     Monomials descending, ``^`` for powers, ``*`` between coefficient
     and variables, single spaces around binary +/-; unit coefficients
     are omitted in front of variables.  Each coefficient prints as its
-    ring's ``format`` gives it.  The same syntax parses back.
+    ``str``, signed: ``-3/2``.  The same syntax parses back.
     """
     if not p:
         return "0"
-    format_coeff = p.ring.coeff_ring.format
     pieces = []
     for coeff, term in p.monomials:
-        text = format_coeff(coeff)
+        text = str(coeff)
         negative = text.startswith("-")
         if negative:
             text = text[1:]

@@ -13,11 +13,10 @@ Values are plain Python objects (ints for GF(p) and ZZ, ``Fraction``
 for QQ) kept in a form unique per ring value; arithmetic never rounds.
 Ring objects are stateless and hashable, safe to share across threads.
 
-Text passes through a ring at two points.  The parser hands each
-literal ``n/d`` to ``from_fraction``, and ``format``, the one printing
-hook, returns a value's signed text; its default, ``str``, serves all
-three shipped rings.  ``element`` coerces ring values, ``int`` and
-``Fraction`` and parses no text.
+Text enters a ring only through ``from_fraction``, to which the parser
+hands each literal ``n/d``; a value prints as its ``str``.
+``element`` coerces ring values, ``int`` and ``Fraction`` and parses
+no text.
 
 ``reduce_step`` runs once per candidate reducer, so it takes ring
 elements (values as ``element`` returns them) and does not coerce its
@@ -151,16 +150,18 @@ class CoefficientRing:
 
     The binary arithmetic methods and ``reduce_step`` assume canonical
     inputs and return canonical outputs; ``element`` (ring values,
-    ``int``, ``Fraction``) and ``from_fraction`` (the parser's literals)
-    are the entry points that canonicalize foreign values, and
-    ``format`` is the one printing hook.  ``groebner`` and ``syzygies``
-    accept anything ``element`` accepts.  ``_kernel_form`` is the one
-    hook of the reduction loop and the pair construction; its default
-    runs them on these methods, so a ring overrides it only for speed.
-    A new ring writes ``element``, ``from_fraction``, ``add``, ``mul``,
-    ``neg``, ``reduce_step``, ``groebner``, ``syzygies`` and
-    ``canonical_unit``; every other method has a default.  A field also
-    sets ``is_field``.
+    ``int``, ``Fraction``) and ``from_fraction`` (the parser's literals,
+    the one way text enters a ring) are the entry points that
+    canonicalize foreign values.  ``groebner`` and ``syzygies`` accept
+    anything ``element`` accepts.  ``_kernel_form`` is the one hook of
+    the reduction loop and the pair construction; its default runs them
+    on these methods, so a ring overrides it only for speed.  A new ring
+    writes ``element``, ``from_fraction``, ``add``, ``mul``, ``neg``,
+    ``reduce_step``, ``groebner``, ``syzygies`` and ``canonical_unit``;
+    every other method has a default.  A field also sets ``is_field``.
+    The ring must be a principal ideal domain: completion forms pair
+    polynomials only, and over other rings its result need not be a
+    Groebner basis.  Nothing checks this.
     """
 
     name = "?"
@@ -209,12 +210,6 @@ class CoefficientRing:
 
     def is_zero(self, a) -> bool:
         return a == 0
-
-    # -- printing ----------------------------------------------------------
-
-    def format(self, a) -> str:
-        """Text of ``a`` in the parser's syntax, with a leading ``-`` when negative: ``-3/2``."""
-        return str(a)
 
     # -- the reduction / basis contract -------------------------------------
 

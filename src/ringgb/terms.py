@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import islice
-from operator import itemgetter, mul
+from operator import mul
 from struct import Struct
 
 _ORDER_KINDS = ("lex", "deglex")
@@ -35,42 +35,28 @@ def term_lcm(s: tuple, t: tuple) -> tuple:
 class TermOrder:
     """Total, multiplicative, well-founded order on terms.
 
-    ``kind`` is "lex" or "deglex".  ``precedence`` optionally permutes
-    the variables: a tuple of variable indexes from most to least
-    significant (default: declaration order).
+    ``kind`` is "lex" or "deglex"; variables rank in declaration order,
+    the first most significant.
     """
 
-    def __init__(self, kind: str = "lex", precedence=None):
+    def __init__(self, kind: str = "lex"):
         if kind not in _ORDER_KINDS:
             raise ValueError(f"unknown term order {kind!r}; expected lex or deglex")
-        if precedence is not None:
-            precedence = tuple(precedence)
-            if sorted(precedence) != list(range(len(precedence))):
-                raise ValueError("precedence must be a permutation of variable indexes")
         self.kind = kind
-        self.precedence = precedence
 
     def sort_key(self, term: tuple):
-        if self.precedence is not None:
-            term = tuple(term[i] for i in self.precedence)
         if self.kind == "lex":
             return term
         return (sum(term), term)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TermOrder)
-            and self.kind == other.kind
-            and self.precedence == other.precedence
-        )
+        return isinstance(other, TermOrder) and self.kind == other.kind
 
     def __hash__(self):
-        return hash((self.kind, self.precedence))
+        return hash(self.kind)
 
     def __repr__(self):
-        if self.precedence is None:
-            return f"TermOrder({self.kind!r})"
-        return f"TermOrder({self.kind!r}, precedence={self.precedence})"
+        return f"TermOrder({self.kind!r})"
 
 
 def _degree_error() -> ValueError:
@@ -88,21 +74,16 @@ class PackedOrder(TermOrder):
     """
 
     def __init__(self, order: TermOrder, nvars: int):
-        super().__init__(order.kind, order.precedence)
+        super().__init__(order.kind)
         self.nvars = nvars
         deg = order.kind != "lex"  # the degree field, first
         self._largest = sum if deg else max  # the largest field of a term's key
         self._bytes = FIELD_BITS // 8 * (nvars + deg)
         self._unpack = Struct(">" + "x" * (FIELD_BITS // 8) * deg + "I" * nvars).unpack
-        slots = self.precedence or tuple(range(nvars))  # the variables, most significant first
-        inverse = sorted(range(nvars), key=slots.__getitem__)
-        self._from_slots = None if inverse == list(range(nvars)) else itemgetter(*inverse)
         field = 1 << FIELD_BITS
         # A key is minus the exponents' dot product with these weights:
         # each variable's field, plus the degree field under deglex.
-        self._weights = [0] * nvars
-        for f, v in enumerate(reversed(slots)):
-            self._weights[v] = field**f + deg * field**nvars
+        self._weights = [field**f + deg * field**nvars for f in reversed(range(nvars))]
         self.guard = sum(DEGREE_BOUND * field**f for f in range(nvars + deg))
         # The product with ``_lift`` sums the exponent fields into the degree field.
         self._exponents = field**nvars - 1 if deg else -1
@@ -110,7 +91,7 @@ class PackedOrder(TermOrder):
         self._degree = (field - 1) * field**nvars
 
     def __reduce__(self):  # a Struct does not pickle
-        return packed_order, (TermOrder(self.kind, self.precedence), self.nvars)
+        return packed_order, (TermOrder(self.kind), self.nvars)
 
     def heap_key(self, term: tuple) -> int:
         if self._largest(term) >= DEGREE_BOUND:
@@ -118,8 +99,7 @@ class PackedOrder(TermOrder):
         return -sum(map(mul, term, self._weights))
 
     def term_from_heap_key(self, key: int) -> tuple:
-        slots = self._unpack((-key).to_bytes(self._bytes, "big"))
-        return self._from_slots(slots) if self._from_slots else slots
+        return self._unpack((-key).to_bytes(self._bytes, "big"))
 
     def key_gcd(self, a: int, b: int) -> int:
         """``heap_key`` of the gcd of s and t from the heap keys a and b of s and t.

@@ -1,14 +1,15 @@
 """The classical cyclic-n and katsura-n ideals, in the variables of a ``PolyRing``.
 
-n is the ring's number of variables.  Both follow the definitions of
-``perfbench/workloads.py``, without its presentation (no shuffling or
-unit scaling).
+n is the ring's number of variables, taken in the order ``R.gens()``
+lists them unless the caller passes them in another.  Both follow the
+definitions of ``perfbench/workloads.py``, without its presentation (no
+shuffling or unit scaling).
 """
 
 
-def cyclic(R):
+def cyclic(R, x=None):
     """Sums of the n cyclic runs of d consecutive variables for d < n, and the product minus 1."""
-    x = R.gens()
+    x = x or R.gens()
     n = len(x)
     gens = []
     for d in range(1, n):
@@ -25,9 +26,9 @@ def cyclic(R):
     return gens + [product - 1]
 
 
-def katsura(R):
+def katsura(R, u=None):
     """sum(u_i) - 1 over i = -(n-1)..n-1, and sum(u_i * u_(m-i)) - u_m for m < n - 1, with u_-i = u_i."""
-    u = R.gens()
+    u = u or R.gens()
     top = len(u) - 1
 
     def U(i):

@@ -22,11 +22,13 @@ def invoke(*args, timeout=None):
 
 
 def test_gb_field_golden():
-    result = invoke("gb", "--ring", "qq", "--order", "lex", "--vars", "x,y",
-                    "x^2 - y", "x*y - 1")
-    assert result.returncode == 0
-    assert result.stdout == GOLDEN_FIELD
-    assert result.stderr == ""
+    # The order of --vars ranks the variables, the first most significant.
+    for variables, golden in (("x,y", GOLDEN_FIELD), ("y,x", "y - x^2\nx^3 - 1\n")):
+        result = invoke("gb", "--ring", "qq", "--order", "lex", "--vars", variables,
+                        "x^2 - y", "x*y - 1")
+        assert result.returncode == 0
+        assert result.stdout == golden
+        assert result.stderr == ""
 
 
 def test_gb_int_golden():

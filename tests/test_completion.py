@@ -15,7 +15,6 @@ from ringgb.completion import (
 from ringgb.poly import PolyRing
 from ringgb.reduction import SeededRandomStrategy, StepLimitExceeded, normal_form, reduces_to_zero
 from ringgb.rings import Integers, PrimeField, Rationals
-from ringgb.terms import TermOrder
 
 import naive_poly as naive
 from corpus import corpus
@@ -25,7 +24,6 @@ from test_kernel_forms import ContractGF7, DefaultFormZZ
 QQ_XY = PolyRing(Rationals(), ["x", "y"])
 ZZ_XY = PolyRing(Integers(), ["x", "y"])
 GF5_XY = PolyRing(PrimeField(5), ["x", "y"])
-YX = TermOrder("deglex", precedence=(1, 0))
 # Certificates are sums of heap-keyed multiples, whose key layout depends on the order.
 CERTIFICATE_RINGS = (
     QQ_XY,
@@ -33,8 +31,8 @@ CERTIFICATE_RINGS = (
     GF5_XY,
     PolyRing(Rationals(), ["x", "y"], "deglex"),
     PolyRing(Integers(), ["x", "y"], "deglex"),
-    PolyRing(PrimeField(5), ["x", "y"], YX),
-    PolyRing(Integers(), ["x", "y"], YX),
+    PolyRing(PrimeField(5), ["y", "x"], "deglex"),
+    PolyRing(Integers(), ["y", "x"], "deglex"),
 )
 
 

@@ -66,16 +66,7 @@ def test_deglex_order_examples():
     assert compare(deglex, (1, 1), (1, 1)) == 0
 
 
-def test_precedence_permutation():
-    y_first = TermOrder("lex", precedence=(1, 0))
-    assert compare(y_first, (1, 0), (0, 1)) == -1  # y outranks x now
-    assert compare(TermOrder("lex"), (1, 0), (0, 1)) == 1
-
-
-@pytest.mark.parametrize(
-    "order",
-    [TermOrder("lex"), TermOrder("deglex"), TermOrder("deglex", precedence=(2, 0, 1))],
-)
+@pytest.mark.parametrize("order", [TermOrder("lex"), TermOrder("deglex")])
 def test_order_is_multiplicative(order):
     rng = random.Random(5)
     for _ in range(1000):
@@ -96,18 +87,9 @@ def test_order_is_total(order):
 def test_order_validation():
     with pytest.raises(ValueError):
         TermOrder("grevlex")
-    with pytest.raises(ValueError):
-        TermOrder("lex", precedence=(0, 0))
-    with pytest.raises(ValueError):
-        TermOrder("lex", precedence=(1, 2))
 
 
-HEAP_KEY_ORDERS = [
-    TermOrder("lex"),
-    TermOrder("deglex"),
-    TermOrder("lex", precedence=(1, 2, 0)),
-    TermOrder("deglex", precedence=(2, 0, 1)),
-]
+HEAP_KEY_ORDERS = [TermOrder("lex"), TermOrder("deglex")]
 
 
 @pytest.mark.parametrize("order", HEAP_KEY_ORDERS, ids=repr)
@@ -148,20 +130,16 @@ term_pairs = st.integers(1, 4).flatmap(
 
 
 @settings(max_examples=300, deadline=None)
-@given(term_pairs, st.sampled_from(["lex", "deglex"]), st.randoms(use_true_random=False))
-def test_lcm_on_heap_keys_is_the_heap_key_of_the_lcm(pair, kind, rnd):
+@given(term_pairs, st.sampled_from(["lex", "deglex"]))
+def test_lcm_on_heap_keys_is_the_heap_key_of_the_lcm(pair, kind):
     # Pairs queue and combine on heap keys alone: the lcm taken on the
-    # keys must be the key of the term lcm, for each order and precedence.
+    # keys must be the key of the term lcm, for each order.
     s, t = pair
-    precedence = list(range(len(s)))
-    rnd.shuffle(precedence)
-    names = [f"x{i}" for i in range(len(s))]
-    for order in (TermOrder(kind), TermOrder(kind, precedence=precedence)):
-        order = PolyRing(Rationals(), names, order).order
-        ks, kt = order.heap_key(s), order.heap_key(t)
-        assert order.key_lcm(ks, kt) == order.heap_key(term_lcm(s, t))
-        assert order.key_lcm(ks, ks) == ks
-        assert order.key_lcm(ks, kt) == order.key_lcm(kt, ks)
+    order = PolyRing(Rationals(), [f"x{i}" for i in range(len(s))], kind).order
+    ks, kt = order.heap_key(s), order.heap_key(t)
+    assert order.key_lcm(ks, kt) == order.heap_key(term_lcm(s, t))
+    assert order.key_lcm(ks, ks) == ks
+    assert order.key_lcm(ks, kt) == order.key_lcm(kt, ks)
 
 
 small = st.integers(0, 3)
@@ -172,7 +150,7 @@ bounded = small | st.integers(0, DEGREE_BOUND - 1)
 def packed_cases(draw):
     """An order on 1-16 variables and two terms, the second often a multiple of the first."""
     nvars = draw(st.integers(1, 16))
-    order = TermOrder(draw(st.sampled_from(["lex", "deglex"])), draw(st.none() | st.permutations(range(nvars))))
+    order = TermOrder(draw(st.sampled_from(["lex", "deglex"])))
     s = draw(st.tuples(*[bounded] * nvars))
     t = draw(st.tuples(*[bounded] * nvars) | st.tuples(*[small] * nvars).map(lambda d: term_mul(s, d)))
     return nvars, order, s, t
