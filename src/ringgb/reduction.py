@@ -17,7 +17,9 @@ it has no valid step, so the remainder comes out sorted.  It computes in
 the ring's ``_kernel_form`` (int pairs over QQ, plain ints over GF(p)
 and ZZ, heads prepared once).  On plain ints (the form's ``ints``) the
 default path subtracts inline and, over GF(p), takes a term mod p only
-when it pops it, as Monagan & Pearce delay it.  On QQ's pairs (the
+when it pops it, as Monagan & Pearce delay it; over ZZ (``ints`` 0) it
+also takes the division step inline, the symmetric remainder against a
+head prepared as ``(b, |b|)``.  On QQ's pairs (the
 form's ``ratios``) it subtracts inline too, with one gcd per tail term:
 a pending sum stays over the lcm of its denominators, its numerator not
 cancelled, until the pop brings it to lowest terms with one more gcd
@@ -57,8 +59,10 @@ index for its whole run and appends each new element;
 ``is_groebner_basis`` keeps one for its pair walk and ``interreduce`` one
 for its pass.  These three memoize per heap key, so a term met again
 between two appends is one dict read, and keep each step's shifted
-tail, so that a repeated step (most of a completion's steps are) is one
-dict read; a pair (i, j) at lcm l reads the same entries, as
+tail in a memo per reducer, keyed by the target term's heap key, so
+that a repeated step (most of a completion's steps are) is one read of
+reducer i's dict, with no ``(i, key)`` tuple built and hashed; a pair
+(i, j) at lcm l reads the same entries, as
 s1*basis[i] and s2*basis[j] are the steps of i and j at l.  The index
 of a public call keeps no tails, which would stay in memory as long
 as its basis does, though queries repeat steps too.
@@ -217,17 +221,18 @@ class _Reducers:
 
     ``bounds[i]`` is the ``tail_bound`` of element i, which ``shift``
     checks each shifted tail against once.  With ``keep_tails``,
-    ``tails`` maps ``(i, kt)`` to ``shift(i, kt)``: a step of reducer i
-    at kt and a pair of i at lcm kt read the same entry, which never
-    goes stale as basis elements never change.  Otherwise ``tails`` is
-    None and each read builds its entry anew.
+    ``tails`` holds one dict per element, which ``append`` adds empty:
+    ``tails[i]`` maps kt to ``shift(i, kt)``.  A step of reducer i at kt
+    and a pair of i at lcm kt read the same entry, which never goes
+    stale as basis elements never change.  Otherwise ``tails`` is None
+    and each read builds its entry anew.
     """
 
     def __init__(self, basis, ring=None, *, keep_tails=False):
         self.ring = basis[0].ring if ring is None else ring
         self.form = self.ring.coeff_ring._kernel_form()
         self.lead, self.tail, self.heads, self.bounds, self.memo = [], [], [], [], {}
-        self.tails = {} if keep_tails else None
+        self.tails = [] if keep_tails else None
         self.lcm = 0
         self.values = [[] for _ in range(self.ring.nvars)]
         self.below = [[0] for _ in self.values]
@@ -245,6 +250,8 @@ class _Reducers:
             keyed = tuple((enter(c), k) for c, k in keyed)
         bit = 1 << len(self.heads)
         self.memo.clear()
+        if self.tails is not None:
+            self.tails.append({})
         self.lead.append(keyed[0][0])
         self.tail.append(keyed[1:])
         self.heads.append((keyed[0][1], self.form.prepare(keyed[0][0])))
@@ -263,19 +270,19 @@ class _Reducers:
     def shift(self, i, kt, keep=True):
         """A new ``(ks, [(c, kb + ks), ...])``: ks the key of s with s*HT(i) at ``kt``, i's tail times s.
 
-        It is stored in ``tails`` when ``keep`` and the index keeps tails.
+        It is stored in ``tails[i]`` when ``keep`` and the index keeps tails.
         It raises ``ValueError`` when a term of it would pass the bound.
         """
         ks = kt - self.heads[i][0]
         self.ring.order.check(self.bounds[i] + ks)
         entry = ks, [(cb, kb + ks) for cb, kb in self.tail[i]]
         if keep and self.tails is not None:
-            self.tails[i, kt] = entry
+            self.tails[i][kt] = entry
         return entry
 
     def shifted(self, i, kt, keep=True):
         """``shift(i, kt, keep)``, unless ``tails`` holds its entry already."""
-        entry = None if self.tails is None else self.tails.get((i, kt))
+        entry = None if self.tails is None else self.tails[i].get(kt)
         return entry or self.shift(i, kt, keep)
 
     def divisors(self, kt):
@@ -346,7 +353,8 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
     of the cofactor term)`` to it and nothing is summed: a reducer and
     term may recur, and k stays in the form.  Emitted coefficients are
     ring elements.  Steps read and add shifted tails in ``reducers.tails``
-    when it keeps them.  ``budget`` is charged when the loop ends, and at
+    when it keeps them.  Over ZZ (the form's ``ints`` 0) the default path
+    steps inline, as ``_zz_step`` does, and ``step`` is not called.  ``budget`` is charged when the loop ends, and at
     once at the step past its limit, which raises ``StepLimitExceeded``.
     """
     enter, leave, add, mul, neg, is_zero, _, step, _, ints, ratios = reducers.form
@@ -355,6 +363,8 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
     select = None if default else strategy.select
     if not default:  # the other paths read pending values, so these stay canonical
         ints = ratios = None
+    plain = ints is not None  # plain ints: zero is falsy
+    zz = ints == 0  # ZZ's step inline, on heads prepared as (b, |b|), as ``_zz_step`` takes it
     known = {}  # the candidate steps of pending terms, for ``_steps``
     heads, memo, tails = reducers.heads, reducers.memo, reducers.tails
     divisors_of, shift, get = reducers.divisors, reducers.shift, acc.get
@@ -376,7 +386,7 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
             g = gcd(n, d)  # d for n = 0, which gives (0, 1)
             if g != 1:
                 c = n // g, d // g
-        if is_zero(c):
+        if (not c) if plain else is_zero(c):
             continue
         divisors = memo.get(kt if key_gcd is None else key_gcd(kt, lcm))
         if divisors is None:
@@ -385,16 +395,27 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
         scan, again = iter(divisors), False
         while True:
             for i in scan:
-                hit = step(c, heads[i][1])
-                if hit is not None:
-                    break
+                if zz:
+                    b, m = heads[i][1]
+                    d = c % m
+                    if 2 * d > m:
+                        d -= m
+                    if d != c:
+                        k, c = (c - d) // b, d
+                        break
+                else:
+                    hit = step(c, heads[i][1])
+                    if hit is not None:
+                        break
             else:
                 if again:
                     scan, again = iter(divisors), False
                     continue
                 yield (c if leave is None else leave(c)), kt
                 break
-            if select is None:
+            if zz:  # the scan has taken the step
+                target = kt
+            elif select is None:
                 k, c = hit
                 target = kt
             else:
@@ -414,7 +435,7 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
             if used > limit:
                 budget.used = used - 1
                 budget.spend()  # raises StepLimitExceeded
-            kept = None if tails is None else tails.get((i, target))
+            kept = None if tails is None else tails[i].get(target)
             ks, tail = kept or shift(i, target)
             if ints is not None:
                 for cb, ku in tail:
@@ -450,7 +471,7 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
                         acc[ku] = add(old, x)
             if steps is not None:
                 steps.append((i, k, ks))
-            if is_zero(c):
+            if (not c) if plain else is_zero(c):
                 break
             again = True
     if budget is not None:

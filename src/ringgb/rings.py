@@ -33,7 +33,8 @@ The shipped rings call none of these methods there.  GF(p) prepares
 each head as its inverse, which also gives the pair rows.  ZZ prepares
 it as ``(b, |b|)`` and takes pair rows from ``_xgcd`` and the lcm
 quotients.  Both set the form's ``ints``: the loop then adds and
-multiplies inline, over GF(p) unreduced until it pops a term.  QQ
+multiplies inline, over GF(p) unreduced until it pops a term, and over
+ZZ takes the division step inline too.  QQ
 reduces in ``(numerator, denominator)`` int pairs, which cost a
 fraction of ``Fraction`` arithmetic, and sets the form's ``ratios``:
 the loop sums them inline, not in lowest terms until it pops a term.
@@ -120,7 +121,13 @@ class _KernelForm(NamedTuple):
     otherwise, in the representation: a critical pair's coefficients.
     ``ints`` is None, or the values are ints whose arithmetic is the int
     operators' modulo ``ints`` (0 for none), so the default reduction path
-    sums them inline and takes a term ``% ints`` only when it pops it.
+    sums them inline, tests zero as ``not c`` and takes a term ``% ints``
+    only when it pops it.  A form with ``ints == 0`` is ZZ's: the loop
+    assumes that it prepares a head b as ``(b, |b|)`` and that its step is
+    the symmetric remainder, and takes that step inline on its default
+    path, a copy of ``_zz_step``.
+    ``test_the_inline_path_reduces_as_the_call_path`` pins the two copies
+    together.
     ``ratios`` is true when the values are rationals as ``(n, d)`` int
     pairs with d > 0, canonical in lowest terms: the default reduction
     path then sums them inline over the lcm of the denominators, leaves
@@ -511,7 +518,8 @@ class Integers(CoefficientRing):
 
 def _zz_step(c, head):
     # ``reduce_step`` against a head prepared as (b, |b|): k = 0 exactly
-    # when the symmetric remainder d equals c.
+    # when the symmetric remainder d equals c.  ``reduction._reduce``'s
+    # default path takes this step inline.
     b, m = head
     d = c % m
     if 2 * d > m:

@@ -419,6 +419,13 @@ monomial_lists = st.lists(st.tuples(coefficients, exponents), min_size=1, max_si
     monomial_lists,
     st.lists(monomial_lists, min_size=1, max_size=3),
 )
+# ZZ's inline step at the window's edge: +|b|/2 stays and -|b|/2 steps to
+# +|b|/2 under an even, negative head; heads of 1 and -1; a coefficient
+# past 2^64.
+@example(ZZ, "deglex", [(3, (1, 1, 0)), (-3, (1, 0, 0))], [[(-6, (1, 0, 0)), (1, (0, 0, 0))]])
+@example(ZZ, "lex", [(-3, (1, 1, 0)), (3, (1, 0, 0))], [[(-6, (1, 0, 0)), (5, (0, 0, 1))]])
+@example(ZZ, "deglex", [(7, (1, 1, 0)), (-4, (2, 0, 0))], [[(1, (0, 1, 0)), (2, (0, 0, 1))], [(-1, (1, 0, 0)), (5, (0, 0, 0))]])
+@example(ZZ, "lex", [(2**64 + 5, (2, 0, 0)), (-(2**65), (1, 0, 0))], [[(3, (1, 0, 0)), (-1, (0, 0, 1))]])
 def test_the_inline_path_reduces_as_the_call_path(ring, order, query, basis):
     runs = []
     for coeff_ring, strategy in ((ring, None), (default_form_mirror(ring), None), (ring, CalledFirstReducible())):

@@ -189,39 +189,46 @@ def test_pair_polynomials_are_exact_combinations(ring):
 
 
 class RecordingTails(dict):
-    """A tail memo that records each read ``(i, kt, entry)``, entry None on a miss."""
+    """Reducer i's tail memo, recording each read ``(i, kt, entry)`` in ``reads``, entry None on a miss."""
 
-    def __init__(self, tails):
+    def __init__(self, i, tails, reads):
         super().__init__(tails)
-        self.reads = []
+        self.i, self.reads = i, reads
 
-    def get(self, key, default=None):
-        entry = super().get(key, default)
-        self.reads.append((*key, entry))
+    def get(self, kt, default=None):
+        entry = super().get(kt, default)
+        self.reads.append((self.i, kt, entry))
         return entry
 
 
 def recording_tails(reducers):
-    """Make ``reducers.tails`` record its reads, which both pair polynomials and steps make; return them."""
-    reducers.tails = RecordingTails(reducers.tails)
-    return reducers.tails.reads
+    """Make each reducer's memo in ``reducers.tails`` record its reads, which both pair polynomials and steps make; return them."""
+    reads = []
+    reducers.tails = [RecordingTails(i, tails, reads) for i, tails in enumerate(reducers.tails)]
+    return reads
+
+
+def stored_tails(reducers):
+    """The per-reducer tail memos of ``reducers`` as one ``{(i, kt): entry}`` dict."""
+    return {(i, kt): entry for i, tails in enumerate(reducers.tails) for kt, entry in tails.items()}
 
 
 def test_syzygy_record_and_later_steps_read_the_tails_its_gcd_record_stored():
     x, y = ZZ_XY.gens()
     basis = [2 * x**2 + y + 1, 3 * x * y - x]
     reducers = _Reducers(basis, keep_tails=True)
+    assert reducers.tails == [{}, {}]  # one memo per reducer, keyed by the target term
     calls = recording_tails(reducers)
     gcd, syzygy = (queued(r, ZZ_XY.order) for r in pair_records(basis, 1))
     kl = gcd[2]
     combinations_for(reducers, gcd)
-    stored = dict(reducers.tails)
+    stored = stored_tails(reducers)
     assert set(stored) == {(0, kl), (1, kl)}
     del calls[:]
     combinations_for(reducers, syzygy)
     assert [(i, kt) for i, kt, _ in calls] == [(0, kl), (1, kl)]
     assert all(entry is stored[i, kt] for i, kt, entry in calls)
-    assert reducers.tails == stored
+    assert stored_tails(reducers) == stored
     # The default rule's first step at the lcm is reducer 0's, and it reads
     # the same entry.
     del calls[:]
@@ -229,7 +236,7 @@ def test_syzygy_record_and_later_steps_read_the_tails_its_gcd_record_stored():
     _normal_form_keyed(ZZ_XY, {kl: 2}, reducers, None, None, steps)
     assert steps[0] == (0, 1, stored[0, kl][0])
     assert calls[0][:2] == (0, kl) and calls[0][2] is stored[0, kl]
-    assert reducers.tails[0, kl] is stored[0, kl]
+    assert reducers.tails[0][kl] is stored[0, kl]
 
 
 def test_syzygy_record_over_a_field_stores_no_tail():
@@ -237,13 +244,13 @@ def test_syzygy_record_over_a_field_stores_no_tail():
     basis = [x**2 - y, x * y - 1, y**3 - 1]
     reducers = _Reducers(basis, keep_tails=True)
     _normal_form_keyed(GF5_XY, {GF5_XY.order.heap_key((3, 1)): 1}, reducers, None, None, None)
-    before = dict(reducers.tails)
+    before = stored_tails(reducers)
     assert before
     for record in all_records(basis):
         if record.kind == SYZYGY:
             combinations_for(reducers, queued(record, GF5_XY.order))
-    assert reducers.tails == before
-    assert all(reducers.tails[key] is entry for key, entry in before.items())
+    assert stored_tails(reducers) == before
+    assert all(reducers.tails[i][kt] is entry for (i, kt), entry in before.items())
 
 
 @pytest.mark.parametrize("ring", [QQ_XY, ZZ_XY, GF5_XY])
