@@ -354,8 +354,9 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
     term may recur, and k stays in the form.  Emitted coefficients are
     ring elements.  Steps read and add shifted tails in ``reducers.tails``
     when it keeps them.  Over ZZ (the form's ``ints`` 0) the default path
-    steps inline, as ``_zz_step`` does, and ``step`` is not called.  ``budget`` is charged when the loop ends, and at
-    once at the step past its limit, which raises ``StepLimitExceeded``.
+    steps inline, as ``_zz_step`` does, and ``step`` is not called.
+    ``budget`` is charged when the loop ends, and at once at the step
+    past its limit, which raises ``StepLimitExceeded``.
     """
     enter, leave, add, mul, neg, is_zero, _, step, _, ints, ratios = reducers.form
     # Subclasses may override ``select``, so only the class itself runs the default rule.
