@@ -1,19 +1,23 @@
 """Before/after benchmark record: alternating runs of a parent and a change tree.
 
     python3 bench/trajectory.py --parent PARENT_TREE --change CHANGE_TREE \
-        --pairs 10 --seed 3 --seconds 20 --out BENCH_<n>.json
+        --pairs 10 --out BENCH_<n>.json
 
 Each tree is a checkout of this repository, for instance a ``git clone``
-of the parent commit beside the working tree.  For every workload the
-script runs ``perfbench/run.py`` of each tree in a subprocess, in
-``--pairs`` pairs, alternating which side runs first, and keeps each
-run's own JSON.  The record it writes holds, per workload and metric,
+of the parent commit beside the working tree.  For every workload of
+``BENCHMARK.json`` the script runs ``perfbench/run.py`` of each tree in
+a subprocess, for the benchmark's ``run_seconds`` at ``--seed`` (the
+benchmark's documented seed 1 by default), in ``--pairs`` pairs,
+alternating which side runs first, and keeps each run's own JSON.  The
+record it writes holds, per workload, whether every run of each side
+was correct and how many items each side failed in all, and per metric
 each side's median and quartiles, the number of pairs the change won
-(ties count for neither side), whether the change won at least nine
-tenths of them by more than the parent's quartile spread, and whether
-every run was correct; plus the machine (platform, Python, cores) and
-every run.  ``perfbench/run.py`` stays the benchmark's gate: this adds a
-record and replaces no check.
+(ties count for neither side), and the claim: every run of both sides
+correct, and the change winning at least nine tenths of the pairs with
+medians apart by more than the parent's quartile spread.  It also holds
+the machine (platform, Python, cores) and every run.
+``perfbench/run.py`` stays the benchmark's gate: this adds a record and
+replaces no check.
 """
 
 from __future__ import annotations
@@ -40,21 +44,23 @@ def quartiles(values):
 
 
 def summarize(runs, better):
-    """Per workload: ``correct`` per side and, per metric, each side's spread and the change's wins.
+    """Per workload: ``correct`` and ``failed`` per side and, per metric, each side's spread and the change's wins.
 
     ``runs`` holds dicts ``{"workload", "side", "pair", "result"}``, with
     ``result`` the JSON object ``perfbench/run.py`` printed; ``better``
     maps a metric name to ``"lower"`` or ``"higher"`` (default lower).
     A pair counts for the change when its run beats the parent's run of
-    the same pair; ``claim`` is a gain by the rule of at least nine
-    tenths of the pairs won and medians apart by more than the parent's
-    q3 - q1.
+    the same pair.  ``claim`` is a gain by the rule: every run of both
+    sides correct (a correct run failed no item, so the change fails no
+    more than the parent), at least nine tenths of the pairs won, and
+    medians apart by more than the parent's q3 - q1.
     """
     out = {}
     for workload in sorted({run["workload"] for run in runs}):
         mine = [run for run in runs if run["workload"] == workload]
         by_side = {side: {run["pair"]: run["result"] for run in mine if run["side"] == side} for side in SIDES}
         correct = {side: all(result["correct"] for result in by_side[side].values()) for side in SIDES}
+        failed = {side: sum(result["failed"] for result in by_side[side].values()) for side in SIDES}
         pairs = sorted(set(by_side["parent"]) & set(by_side["change"]))
         names = list(by_side["parent"][pairs[0]]["metrics"]) if pairs else []
         metrics = {}
@@ -76,9 +82,11 @@ def summarize(runs, better):
                 "pairs": len(pairs),
                 "change_wins": wins,
                 "ties": ties,
-                "claim": 10 * wins >= 9 * len(pairs) and gain > spread["parent"]["q3"] - spread["parent"]["q1"],
+                "claim": all(correct.values())
+                and 10 * wins >= 9 * len(pairs)
+                and gain > spread["parent"]["q3"] - spread["parent"]["q1"],
             }
-        out[workload] = {"correct": correct, "metrics": metrics}
+        out[workload] = {"correct": correct, "failed": failed, "metrics": metrics}
     return out
 
 
@@ -122,9 +130,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--workloads", default="corpus,structured,query")
+    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -135,16 +141,16 @@ def main(argv=None) -> int:
         "settings": {
             "pairs": args.pairs,
             "seed": args.seed,
-            "seconds": args.seconds,
+            "seconds": benchmark["run_seconds"],
             "parent": label(trees["parent"]),
             "change": label(trees["change"]),
         },
     }
     runs = []
-    for workload in args.workloads.split(","):
+    for workload in (entry["name"] for entry in benchmark["workloads"]):
         for pair in range(args.pairs):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                result = run_one(trees[side], workload, args.seed, args.seconds)
+                result = run_one(trees[side], workload, args.seed, benchmark["run_seconds"])
                 runs.append({"workload": workload, "side": side, "pair": pair, "result": result})
                 print(f"{workload} pair {pair} {side}: {json.dumps(result['metrics'].get('wall_s'))}", file=sys.stderr)
                 # Rewritten after every run, so a run that fails leaves the earlier ones recorded.

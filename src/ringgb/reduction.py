@@ -364,7 +364,6 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
     select = None if default else strategy.select
     if not default:  # the other paths read pending values, so these stay canonical
         ints = ratios = None
-    plain = ints is not None  # plain ints: zero is falsy
     zz = ints == 0  # ZZ's step inline, on heads prepared as (b, |b|), as ``_zz_step`` takes it
     known = {}  # the candidate steps of pending terms, for ``_steps``
     heads, memo, tails = reducers.heads, reducers.memo, reducers.tails
@@ -387,16 +386,17 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
             g = gcd(n, d)  # d for n = 0, which gives (0, 1)
             if g != 1:
                 c = n // g, d // g
-        if (not c) if plain else is_zero(c):
+        if is_zero(c):
             continue
         divisors = memo.get(kt if key_gcd is None else key_gcd(kt, lcm))
         if divisors is None:
             divisors = divisors_of(kt)
         # Resume after each hit, and scan once more after a round with a hit.
+        # i is None when a scan of the heads finds no step.
         scan, again = iter(divisors), False
         while True:
-            for i in scan:
-                if zz:
+            if zz:
+                for i in scan:
                     b, m = heads[i][1]
                     d = c % m
                     if 2 * d > m:
@@ -405,10 +405,15 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
                         k, c = (c - d) // b, d
                         break
                 else:
+                    i = None
+            else:
+                for i in scan:
                     hit = step(c, heads[i][1])
                     if hit is not None:
                         break
-            else:
+                else:
+                    i = None
+            if i is None:
                 if again:
                     scan, again = iter(divisors), False
                     continue
@@ -472,7 +477,7 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
                         acc[ku] = add(old, x)
             if steps is not None:
                 steps.append((i, k, ks))
-            if (not c) if plain else is_zero(c):
+            if is_zero(c):
                 break
             again = True
     if budget is not None:

@@ -121,13 +121,12 @@ class _KernelForm(NamedTuple):
     otherwise, in the representation: a critical pair's coefficients.
     ``ints`` is None, or the values are ints whose arithmetic is the int
     operators' modulo ``ints`` (0 for none), so the default reduction path
-    sums them inline, tests zero as ``not c`` and takes a term ``% ints``
-    only when it pops it.  A form with ``ints == 0`` is ZZ's: the loop
-    assumes that it prepares a head b as ``(b, |b|)`` and that its step is
-    the symmetric remainder, and takes that step inline on its default
-    path, a copy of ``_zz_step``.
-    ``test_the_inline_path_reduces_as_the_call_path`` pins the two copies
-    together.
+    sums them inline and takes a term ``% ints`` only when it pops it.
+    A form with ``ints == 0`` is ZZ's: the loop assumes that it prepares a
+    head b as ``(b, |b|)`` and that its step is the symmetric remainder,
+    and takes that step inline on its default path, a copy of
+    ``_zz_step``.  ``test_the_inline_path_reduces_as_the_call_path`` pins
+    the two copies together.
     ``ratios`` is true when the values are rationals as ``(n, d)`` int
     pairs with d > 0, canonical in lowest terms: the default reduction
     path then sums them inline over the lcm of the denominators, leaves

@@ -11,10 +11,11 @@ trajectory = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(trajectory)
 
 
-def run(workload, side, pair, correct=True, **values):
+def run(workload, side, pair, failed=0, **values):
     units = {"wall_s": "s", "items_per_s": "1/s", "peak_rss_mb": "MB"}
     metrics = {name: {"value": value, "unit": units[name]} for name, value in values.items()}
-    return {"workload": workload, "side": side, "pair": pair, "result": {"correct": correct, "metrics": metrics}}
+    result = {"correct": failed == 0, "failed": failed, "metrics": metrics}
+    return {"workload": workload, "side": side, "pair": pair, "result": result}
 
 
 BETTER = {"wall_s": "lower", "items_per_s": "higher", "peak_rss_mb": "lower"}
@@ -29,6 +30,7 @@ def test_a_change_that_wins_nine_of_ten_pairs_by_more_than_the_parent_spread_is_
         runs.append(run("corpus", "change", pair, wall_s=c, items_per_s=1 / c, peak_rss_mb=25.0 + pair % 2))
     summary = trajectory.summarize(runs, BETTER)
     assert summary["corpus"]["correct"] == {"parent": True, "change": True}
+    assert summary["corpus"]["failed"] == {"parent": 0, "change": 0}
     wall = summary["corpus"]["metrics"]["wall_s"]
     assert (wall["unit"], wall["better"], wall["pairs"], wall["change_wins"], wall["ties"]) == ("s", "lower", 10, 9, 1)
     assert wall["parent"]["runs"] == parent and wall["change"]["runs"] == change
@@ -64,11 +66,26 @@ def test_no_claim_below_nine_tenths_or_within_the_parent_spread():
 def test_an_incorrect_run_marks_its_side_and_an_unpaired_run_is_left_out():
     runs = [
         run("corpus", "parent", 0, wall_s=1.0),
-        run("corpus", "change", 0, correct=False, wall_s=0.8),
+        run("corpus", "change", 0, failed=2, wall_s=0.8),
         run("corpus", "parent", 1, wall_s=1.2),  # its change run is missing
     ]
     summary = trajectory.summarize(runs, BETTER)
     assert summary["corpus"]["correct"] == {"parent": True, "change": False}
+    assert summary["corpus"]["failed"] == {"parent": 0, "change": 2}
     wall = summary["corpus"]["metrics"]["wall_s"]
     assert wall["pairs"] == 1 and wall["parent"]["runs"] == [1.0]
     assert (wall["parent"]["q1"], wall["parent"]["median"], wall["parent"]["q3"]) == (1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("failing", ["parent", "change"])
+def test_a_gain_is_no_claim_when_a_side_fails_items(failing):
+    runs = []
+    for pair in range(10):
+        for side, wall in (("parent", 1.0 + pair / 1000), ("change", 0.5)):
+            runs.append(run("corpus", side, pair, failed=int(side == failing and pair == 3), wall_s=wall))
+    summary = trajectory.summarize(runs, BETTER)
+    assert summary["corpus"]["failed"][failing] == 1
+    wall = summary["corpus"]["metrics"]["wall_s"]
+    assert wall["change_wins"] == 10 and not wall["claim"]
+    clean = [{**r, "result": {**r["result"], "correct": True, "failed": 0}} for r in runs]
+    assert trajectory.summarize(clean, BETTER)["corpus"]["metrics"]["wall_s"]["claim"]
