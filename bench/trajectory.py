@@ -12,10 +12,11 @@ alternating which side runs first, and keeps each run's own JSON.  The
 record it writes holds, per workload, whether every run of each side
 was correct and how many items each side failed in all, and per metric
 each side's median and quartiles, the number of pairs the change won
-(ties count for neither side), and the claim: every run of both sides
+(ties count for neither side), the claim: every run of both sides
 correct, and the change winning at least nine tenths of the pairs with
-medians apart by more than the parent's quartile spread.  It also holds
-the machine (platform, Python, cores) and every run.
+medians apart by more than the parent's quartile spread, and the
+verdict against the metric's ``bound`` in ``BENCHMARK.json``.  It also
+holds the machine (platform, Python, cores) and every run.
 ``perfbench/run.py`` stays the benchmark's gate: this adds a record and
 replaces no check.
 """
@@ -43,18 +44,40 @@ def quartiles(values):
     return q1, median, q3
 
 
-def summarize(runs, better):
+def verdict(parent, change, lower, bound):
+    """Whether the change's runs are ``"worse"`` than the parent's, ``"unresolved"`` or ``"within"`` ``bound``.
+
+    ``bound`` is a share of the parent's median.  ``worse``: the change's
+    median is worse than the parent's by more than the bound.
+    ``unresolved``: otherwise, the parent's q3 - q1 is wider than the
+    bound, so the runs cannot tell a loss of that size, unless every
+    change run beats every parent run.  ``within``: otherwise.
+    """
+    q1, base, q3 = quartiles(parent)
+    now = quartiles(change)[1]
+    if ((now - base) if lower else (base - now)) > bound * abs(base):
+        return "worse"
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if q3 - q1 > bound * abs(base) and not beats_all:
+        return "unresolved"
+    return "within"
+
+
+def summarize(runs, better, bounds=None):
     """Per workload: ``correct`` and ``failed`` per side and, per metric, each side's spread and the change's wins.
 
     ``runs`` holds dicts ``{"workload", "side", "pair", "result"}``, with
     ``result`` the JSON object ``perfbench/run.py`` printed; ``better``
-    maps a metric name to ``"lower"`` or ``"higher"`` (default lower).
+    maps a metric name to ``"lower"`` or ``"higher"`` (default lower),
+    and ``bounds`` a metric name to its ``bound``.
     A pair counts for the change when its run beats the parent's run of
     the same pair.  ``claim`` is a gain by the rule: every run of both
     sides correct (a correct run failed no item, so the change fails no
     more than the parent), at least nine tenths of the pairs won, and
-    medians apart by more than the parent's q3 - q1.
+    medians apart by more than the parent's q3 - q1.  ``verdict`` is
+    ``verdict``'s, or None for a metric without a bound.
     """
+    bounds = bounds or {}
     out = {}
     for workload in sorted({run["workload"] for run in runs}):
         mine = [run for run in runs if run["workload"] == workload]
@@ -85,6 +108,7 @@ def summarize(runs, better):
                 "claim": all(correct.values())
                 and 10 * wins >= 9 * len(pairs)
                 and gain > spread["parent"]["q3"] - spread["parent"]["q1"],
+                "verdict": verdict(value["parent"], value["change"], lower, bounds[name]) if name in bounds else None,
             }
         out[workload] = {"correct": correct, "failed": failed, "metrics": metrics}
     return out
@@ -136,6 +160,7 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
+    bounds = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
     record = {
         "machine": machine(),
         "settings": {
@@ -154,7 +179,7 @@ def main(argv=None) -> int:
                 runs.append({"workload": workload, "side": side, "pair": pair, "result": result})
                 print(f"{workload} pair {pair} {side}: {json.dumps(result['metrics'].get('wall_s'))}", file=sys.stderr)
                 # Rewritten after every run, so a run that fails leaves the earlier ones recorded.
-                record.update(workloads=summarize(runs, better), runs=runs)
+                record.update(workloads=summarize(runs, better, bounds), runs=runs)
                 args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -162,7 +162,7 @@ def interreduce(basis) -> list:
         raise ValueError("basis polynomials belong to different rings")
     reducers = _Reducers((), ring, keep_tails=True)
     form, one, unit = reducers.form, ring.coeff_ring.one(), ring.coeff_ring.canonical_unit
-    enter = form.enter or (lambda c: c)
+    enter = form.enter
     kept, keys = [], {}
     # Ascending head terms are descending head keys; the sort is stable.
     polys.sort(key=lambda p: p.keyed_monomials()[0][1], reverse=True)

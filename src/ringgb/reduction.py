@@ -15,11 +15,14 @@ shifted tail term is one addition.  It pops the largest pending term,
 subtracts each step's k*s*tail(b) into the dict, and emits the term once
 it has no valid step, so the remainder comes out sorted.  It computes in
 the ring's ``_kernel_form`` (int pairs over QQ, plain ints over GF(p)
-and ZZ, heads prepared once).  On plain ints (the form's ``ints``) the
-default path subtracts inline and, over GF(p), takes a term mod p only
-when it pops it, as Monagan & Pearce delay it; over ZZ (``ints`` 0) it
-also takes the division step inline, the symmetric remainder against a
-head prepared as ``(b, |b|)``.  On QQ's pairs (the
+and ZZ, heads prepared once); values enter and leave it through the
+form's ``enter`` and ``leave``, the identity over GF(p) and ZZ.  On
+plain ints (the form's ``ints``) the default path subtracts inline and,
+over GF(p), takes a term mod p only when it pops it, as Monagan & Pearce
+delay it; over ZZ (``ints`` 0) it also takes the division step inline,
+the symmetric remainder against a head prepared as ``(b, |b|)``: a copy
+of ``rings._zz_step``, which states it for the ring, and a test pins
+the two together.  On QQ's pairs (the
 form's ``ratios``) it subtracts inline too, with one gcd per tail term:
 a pending sum stays over the lcm of its denominators, its numerator not
 cancelled, until the pop brings it to lowest terms with one more gcd
@@ -181,8 +184,6 @@ def _prepare(p: Polynomial, basis):
     else:
         reducers = _Reducers(basis, p.ring)
     enter = reducers.form.enter
-    if enter is None:
-        return {k: c for c, k in p.keyed_monomials()}, reducers
     return {k: enter(c) for c, k in p.keyed_monomials()}, reducers
 
 
@@ -244,10 +245,8 @@ class _Reducers:
             raise ValueError("basis polynomials must be nonzero")
         if b.ring is not self.ring and b.ring != self.ring:
             raise ValueError("basis polynomial from a different ring")
-        keyed = b.keyed_monomials()
         enter = self.form.enter
-        if enter is not None:
-            keyed = tuple((enter(c), k) for c, k in keyed)
+        keyed = tuple((enter(c), k) for c, k in b.keyed_monomials())
         bit = 1 << len(self.heads)
         self.memo.clear()
         if self.tails is not None:
@@ -328,9 +327,7 @@ def _steps(acc: dict, reducers: _Reducers, known: dict):
             kh, head = heads[i]
             hit = step(c, head)
             if hit is not None:
-                if leave is not None:
-                    hit = map(leave, hit)
-                steps.append(ReductionStep(i, term_of(kt), term_of(kt - kh), *hit))
+                steps.append(ReductionStep(i, term_of(kt), term_of(kt - kh), *map(leave, hit)))
         known[kt] = c, steps
         yield from steps
 
@@ -409,7 +406,7 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
                     if again:
                         scan, again = iter(divisors), False
                         continue
-                    yield (c if leave is None else leave(c)), kt
+                    yield leave(c), kt
                     break
             else:
                 for i in scan:
@@ -420,7 +417,7 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
                     if again:
                         scan, again = iter(divisors), False
                         continue
-                    yield (c if leave is None else leave(c)), kt
+                    yield leave(c), kt
                     break
             if zz:  # the scan has taken the step
                 target = kt
@@ -434,9 +431,7 @@ def _reduce(acc: dict, reducers: _Reducers, strategy, budget, steps):
                 chosen = select(_steps(acc, reducers, known))
                 if chosen is None:
                     raise ValueError(f"{strategy!r} selected no step while a step was valid")
-                i, k, d = chosen.reducer, chosen.coefficient, chosen.remainder
-                if enter is not None:
-                    k, d = enter(k), enter(d)
+                i, k, d = chosen.reducer, enter(chosen.coefficient), enter(chosen.remainder)
                 target = reducers.ring.order.heap_key(chosen.term)
                 acc[target] = d
                 c = acc.pop(kt)
@@ -528,7 +523,7 @@ def reduces_to_zero(p: Polynomial, basis) -> bool:
 def _unit_rows(form, ring, indexes) -> list:
     """The row of each g in ``indexes`` whose one entry, at g, is 1."""
     ((one, key),) = ring.one().keyed_monomials()
-    entry = ((one if form.enter is None else form.enter(one), key),)
+    entry = ((form.enter(one), key),)
     return [((g, entry, key),) for g in indexes]
 
 
@@ -600,5 +595,5 @@ def _row_polynomials(ring, row, count) -> tuple:
     leave = ring.coeff_ring._kernel_form().leave
     polys = [ring.zero()] * count
     for g, keyed, _ in row:
-        polys[g] = Polynomial(ring, keyed=keyed if leave is None else tuple((leave(c), k) for c, k in keyed))
+        polys[g] = Polynomial(ring, keyed=tuple((leave(c), k) for c, k in keyed))
     return tuple(polys)

@@ -29,12 +29,16 @@ division step against a head prepared once per basis element, and the
 coefficient rows of a critical pair.  The default is the ring's own
 values and methods, the rows from ``groebner`` and ``syzygies`` (which
 coerce), so a further ring needs nothing more than the contract above.
-The shipped rings call none of these methods there.  GF(p) prepares
-each head as its inverse, which also gives the pair rows.  ZZ prepares
-it as ``(b, |b|)`` and takes pair rows from ``_xgcd`` and the lcm
-quotients.  Both set the form's ``ints``: the loop then adds and
-multiplies inline, over GF(p) unreduced until it pops a term, and over
-ZZ takes the division step inline too.  QQ
+The shipped rings call none of these methods there.  GF(p) and ZZ
+compute on their own ints, so their forms' ``enter`` and ``leave`` are
+the identity.  GF(p) prepares each head as its inverse, which also
+gives the pair rows.  ZZ prepares it as ``(b, |b|)`` and takes pair
+rows from ``_xgcd`` and ``_zz_syzygy``, the lcm quotients that
+``syzygies`` returns too.  Both set the form's ``ints``: the loop then
+adds and multiplies inline, over GF(p) unreduced until it pops a term,
+and over ZZ takes the division step inline too.  ZZ's symmetric
+remainder is stated in ``_zz_step``, which ``reduce_step`` calls, and
+in that inline copy, which a test pins to it.  QQ
 reduces in ``(numerator, denominator)`` int pairs, which cost a
 fraction of ``Fraction`` arithmetic, and sets the form's ``ratios``:
 the loop sums them inline, not in lowest terms until it pops a term.
@@ -110,8 +114,9 @@ class _KernelForm(NamedTuple):
     """The coefficients of the reduction loop: a representation and its operations.
 
     ``enter`` maps a ring element into the loop's representation and
-    ``leave`` maps it back; both are None when the loop computes on the
-    ring elements themselves.  ``add``, ``mul``, ``neg`` and ``is_zero``
+    ``leave`` maps it back; both are the identity ``_same`` when the loop
+    computes on the ring elements themselves, as on GF(p), on ZZ and in
+    the default form.  ``add``, ``mul``, ``neg`` and ``is_zero``
     act on the representation as the ring's methods do on elements.
     ``prepare`` runs once per basis element on its entered head
     coefficient b, and ``step(c, prepare(b))`` is ``reduce_step(c, b)``
@@ -125,8 +130,9 @@ class _KernelForm(NamedTuple):
     A form with ``ints == 0`` is ZZ's: the loop assumes that it prepares a
     head b as ``(b, |b|)`` and that its step is the symmetric remainder,
     and takes that step inline on its default path, a copy of
-    ``_zz_step``.  ``test_the_inline_path_reduces_as_the_call_path`` pins
-    the two copies together.
+    ``_zz_step``, which ``reduce_step`` calls.
+    ``test_the_inline_path_reduces_as_the_call_path`` pins the two
+    copies together.
     ``ratios`` is true when the values are rationals as ``(n, d)`` int
     pairs with d > 0, canonical in lowest terms: the default reduction
     path then sums them inline over the lcm of the denominators, leaves
@@ -134,8 +140,8 @@ class _KernelForm(NamedTuple):
     pops it, and ``_row_sum`` sums rows so and settles each entry once.
     """
 
-    enter: Callable | None
-    leave: Callable | None
+    enter: Callable
+    leave: Callable
     add: Callable
     mul: Callable
     neg: Callable
@@ -249,7 +255,7 @@ class CoefficientRing:
     def _kernel_form(self) -> _KernelForm:
         """The reduction loop's ``_KernelForm``: by default the ring's own values and methods."""
         return _KernelForm(
-            None, None, self.add, self.mul, self.neg, self.is_zero, _same, self.reduce_step,
+            _same, _same, self.add, self.mul, self.neg, self.is_zero, _same, self.reduce_step,
             lambda a, b, groebner: self.groebner([a, b])[1] if groebner else self.syzygies(a, b),
         )
 
@@ -349,7 +355,7 @@ class PrimeField(_FieldMixin, CoefficientRing):
             return [(a, 0 if groebner else p - b)]
 
         return _KernelForm(
-            None, None, self.add, self.mul, self.neg, operator.not_, lambda b: pow(b, -1, p), step, rows, ints=p
+            _same, _same, self.add, self.mul, self.neg, operator.not_, lambda b: pow(b, -1, p), step, rows, ints=p
         )
 
 
@@ -480,14 +486,7 @@ class Integers(CoefficientRing):
     def reduce_step(self, c, b):
         if b == 0:
             raise RingError("reduction by zero")
-        m = abs(b)
-        d = c % m
-        if 2 * d > m:
-            d -= m
-        k = (c - d) // b
-        if k == 0:
-            return None
-        return k, d
+        return _zz_step(c, (b, abs(b)))
 
     def groebner(self, values):
         vals = self._check_nonzero_list(values)
@@ -502,9 +501,7 @@ class Integers(CoefficientRing):
         return [g], [row]
 
     def syzygies(self, a, b):
-        a, b = self._check_nonzero_list([a, b])
-        common = abs(a * b) // gcd(a, b)
-        return [(common // a, -(common // b))]
+        return [_zz_syzygy(*self._check_nonzero_list([a, b]))]
 
     def canonical_unit(self, c):
         if c == 0:
@@ -516,9 +513,9 @@ class Integers(CoefficientRing):
 
 
 def _zz_step(c, head):
-    # ``reduce_step`` against a head prepared as (b, |b|): k = 0 exactly
-    # when the symmetric remainder d equals c.  ``reduction._reduce``'s
-    # default path takes this step inline.
+    # The step of ``reduce_step``, against a head prepared as (b, |b|):
+    # the symmetric remainder d of c, and no step (k = 0) exactly when d
+    # equals c.  ``reduction._reduce``'s default path takes it inline.
     b, m = head
     d = c % m
     if 2 * d > m:
@@ -528,18 +525,21 @@ def _zz_step(c, head):
     return (c - d) // b, d
 
 
+def _zz_syzygy(a, b):
+    # The lcm quotients (l/a, -l/b), l = lcm(a, b): the one syzygy of nonzero a and b.
+    common = abs(a * b) // gcd(a, b)
+    return common // a, -(common // b)
+
+
 def _zz_rows(a, b, groebner):
     # Heads prepared as (b, |b|); the rows of ``groebner`` and ``syzygies``.
     a, b = a[0], b[0]
-    if groebner:
-        return [_xgcd(a, b)[1:]]
-    common = abs(a * b) // gcd(a, b)
-    return [(common // a, -(common // b))]
+    return [_xgcd(a, b)[1:] if groebner else _zz_syzygy(a, b)]
 
 
 _ZZ_FORM = _KernelForm(
-    enter=None,
-    leave=None,
+    enter=_same,
+    leave=_same,
     add=operator.add,
     mul=operator.mul,
     neg=operator.neg,

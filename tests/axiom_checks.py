@@ -94,7 +94,7 @@ def check_steps_keep_misses(ring, elements):
     a hit: its last round over the heads then finds no step.
     """
     form = ring._kernel_form()
-    values = [v if form.enter is None else form.enter(v) for v in elements]
+    values = [form.enter(v) for v in elements]
     heads = [form.prepare(v) for v in values if not form.is_zero(v)]
     for c in values:
         missed = [h for h in heads if form.step(c, h) is None]

@@ -313,7 +313,7 @@ def test_interreduce_stores_each_term_key_once():
     reduced = interreduce(complete(katsura(ring)).basis)
     keys = [k for p in reduced for _, k in p.keyed_monomials()]
     assert (len(keys), len(set(keys))) == (216, 32)
-    # One tuple object per distinct term, shared across the elements.
+    # One packed-int key object per distinct term, shared across the elements.
     assert len({id(k) for k in keys}) == 32
 
 

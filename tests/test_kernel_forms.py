@@ -94,7 +94,7 @@ def test_qq_pairs_leave_and_reenter_unchanged(a):
 
 def test_prime_field_prepares_heads_as_inverses():
     form = PrimeField(32003)._kernel_form()
-    assert form.enter is None and form.leave is None
+    assert all(form.enter(c) is c and form.leave(c) is c for c in (0, 1, 32002))
     for b in (1, 2, 16001, 32002):
         inverse = form.prepare(b)
         assert b * inverse % 32003 == 1
@@ -124,9 +124,10 @@ ties = st.tuples(divisors.map(lambda b: 2 * b), st.integers(-3, 3) | integers, s
 @example((2**90, -7))
 def test_zz_step_is_the_rings_reduce_step(pair):
     c, b = pair
-    assert ZZ_FORM.enter is None and ZZ_FORM.leave is None
+    assert ZZ_FORM.enter(c) is c and ZZ_FORM.leave(c) is c
     assert ZZ_FORM.prepare(b) == (b, abs(b))
-    assert ZZ_FORM.step(c, ZZ_FORM.prepare(b)) == ZZ.reduce_step(c, b)
+    # ``reduce_step`` calls ``_zz_step``, so the contract-only ZZ, written apart, is the reference.
+    assert ZZ_FORM.step(c, ZZ_FORM.prepare(b)) == ZZ.reduce_step(c, b) == ContractZZ().reduce_step(c, b)
 
 
 class DefaultFormZZ(Integers):
@@ -290,7 +291,7 @@ def test_a_ring_without_the_hook_completes_as_the_shipped_field():
 def assert_pair_rows_are_the_contract(ring, a, b):
     """The form's ``pair_rows`` on the prepared heads a and b, after ``leave``, are the ring's own rows."""
     form = ring._kernel_form()
-    enter, leave = form.enter or (lambda c: c), form.leave or (lambda c: c)
+    enter, leave = form.enter, form.leave
     pa, pb = form.prepare(enter(a)), form.prepare(enter(b))
     for groebner, want in ((True, ring.groebner([a, b])[1]), (False, ring.syzygies(a, b))):
         got = [tuple(map(leave, row)) for row in form.pair_rows(pa, pb, groebner)]
@@ -397,10 +398,10 @@ def qq_reduction_is_canonical(p, basis):
     """Over QQ: the pairs the loop emits, its step records and the cofactor row are in lowest terms.
 
     ``leave`` would bring an emitted pair to lowest terms, so the loop
-    runs on the form without it and emits the pairs themselves.
+    runs on the form with an identity ``leave`` and emits the pairs themselves.
     """
     acc, reducers = _prepare(p, basis)
-    reducers.form = reducers.form._replace(leave=None)
+    reducers.form = reducers.form._replace(leave=lambda x: x)
     steps = []
     emitted = [c for c, _ in _reduce(acc, reducers, None, None, steps)]
     row = _row_sum(FORM, p.ring.order, _unit_rows(FORM, p.ring, range(len(basis))), steps)

@@ -99,7 +99,7 @@ def pair_polynomials(basis, record, reducers):
     """
     R = basis[0].ring
     form = R.coeff_ring._kernel_form()
-    leave = form.leave or (lambda c: c)
+    leave = form.leave
     out = []
     for acc, ((a1, k1), (a2, k2)) in combinations_for(reducers, queued(record, R.order)):
         assert not any(form.is_zero(c) for c in acc.values())

@@ -89,3 +89,33 @@ def test_a_gain_is_no_claim_when_a_side_fails_items(failing):
     assert wall["change_wins"] == 10 and not wall["claim"]
     clean = [{**r, "result": {**r["result"], "correct": True, "failed": 0}} for r in runs]
     assert trajectory.summarize(clean, BETTER)["corpus"]["metrics"]["wall_s"]["claim"]
+
+
+BOUNDS = {"wall_s": 0.25, "items_per_s": 0.25, "peak_rss_mb": 0.1}
+
+
+def test_the_verdict_is_worse_past_the_bound_unresolved_on_a_wide_parent_spread_and_else_within():
+    runs = []
+    wide = [0.5, 1.5, 0.6, 1.4, 1.0, 1.0]  # q3 - q1 = 0.65, past 25% of the median 1.0
+    for pair, p in enumerate(wide):
+        # corpus: the change's median 30% worse, for a lower- and a higher-is-better metric.
+        runs.append(run("corpus", "parent", pair, wall_s=1.0, items_per_s=10.0, peak_rss_mb=20.0))
+        runs.append(run("corpus", "change", pair, wall_s=1.3, items_per_s=7.0, peak_rss_mb=23.0))
+        # structured: a wide parent spread hides a 10% loss, but not a change that beats every parent run.
+        runs.append(run("structured", "parent", pair, wall_s=p, items_per_s=10 * p))
+        runs.append(run("structured", "change", pair, wall_s=1.1, items_per_s=20.0))
+        # query: worse, but by less than each bound.
+        runs.append(run("query", "parent", pair, wall_s=1.0 + pair / 100, peak_rss_mb=40.0))
+        runs.append(run("query", "change", pair, wall_s=1.2 + pair / 100, peak_rss_mb=43.0))
+    summary = trajectory.summarize(runs, BETTER, BOUNDS)
+
+    def verdicts(workload):
+        return {name: metric["verdict"] for name, metric in summary[workload]["metrics"].items()}
+
+    assert verdicts("corpus") == {"wall_s": "worse", "items_per_s": "worse", "peak_rss_mb": "worse"}
+    assert verdicts("structured") == {"wall_s": "unresolved", "items_per_s": "within"}
+    assert verdicts("query") == {"wall_s": "within", "peak_rss_mb": "within"}
+    metrics = [(workload, name, m) for workload, entry in summary.items() for name, m in entry["metrics"].items()]
+    assert [(workload, name) for workload, name, m in metrics if m["claim"]] == [("structured", "items_per_s")]
+    # A metric without a bound gets no verdict.
+    assert trajectory.summarize(runs, BETTER)["query"]["metrics"]["wall_s"]["verdict"] is None
