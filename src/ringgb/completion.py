@@ -26,8 +26,9 @@ accumulator, in its coefficient form, which ``combinations_for`` sums
 from the shifted tails in the completion's one ``reduction._Reducers``
 (its reduction steps read them too).  Membership reduces the query the
 same way and sums the step records of a zero remainder over the rows
-they reach.  The basis is consistent by construction, so it is not
-re-checked for each normal form.
+they name, once every row up to the last one named is summed.  The
+basis is consistent by construction, so it is not re-checked for each
+normal form.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class CompletionTrace:
         if not self.basis:
             return ()
         ring = self.basis[0].ring
-        rows = _fill_rows(ring, self._rows, range(len(self.basis)))
+        rows = _fill_rows(ring, self._rows, len(self.basis))
         return tuple(_row_polynomials(ring, row, len(self.generators)) for row in rows)
 
 
@@ -244,7 +245,7 @@ def ideal_membership(
     remainder = _normal_form_keyed(p.ring, acc, reducers, strategy, StepBudget(max_steps), steps)
     if remainder:
         return MembershipResult(False, None, remainder)
-    rows = _fill_rows(p.ring, trace._rows, [m for m, _, _ in steps])
+    rows = _fill_rows(p.ring, trace._rows, max((m + 1 for m, _, _ in steps), default=0))
     certificate = _row_polynomials(p.ring, _row_sum(reducers.form, p.ring.order, rows, steps), len(trace.generators))
     return MembershipResult(True, certificate, remainder)
 

@@ -137,7 +137,7 @@ class FirstReducibleStrategy:
         return next(candidates, None)
 
     def __repr__(self):
-        return "FirstReducibleStrategy()"
+        return f"{type(self).__name__}()"
 
 
 class SeededRandomStrategy:
@@ -154,7 +154,7 @@ class SeededRandomStrategy:
         return self._rng.choice(steps)
 
     def __repr__(self):
-        return f"SeededRandomStrategy({self.seed})"
+        return f"{type(self).__name__}({self.seed})"
 
 
 class _Basis(tuple):
@@ -521,10 +521,9 @@ def reduces_to_zero(p: Polynomial, basis) -> bool:
 
 
 def _unit_rows(form, ring, indexes) -> list:
-    """The row of each g in ``indexes`` whose one entry, at g, is 1."""
-    ((one, key),) = ring.one().keyed_monomials()
-    entry = ((form.enter(one), key),)
-    return [((g, entry, key),) for g in indexes]
+    """The row of each g in ``indexes`` whose one entry, at g, is 1: the unit term, whose heap key is 0."""
+    entry = ((form.enter(ring.coeff_ring.one()), 0),)
+    return [((g, entry, 0),) for g in indexes]
 
 
 def _row_sum(form, order, rows, parts) -> tuple:
@@ -568,22 +567,16 @@ def _row_sum(form, order, rows, parts) -> tuple:
     return tuple((g, keyed, order.key_bound(keyed)) for g, keyed in row if keyed)
 
 
-def _fill_rows(ring, rows, wanted) -> list:
-    """``rows`` with every entry that ``wanted`` reaches summed, in ascending index order.
+def _fill_rows(ring, rows, count) -> list:
+    """``rows`` with each of its first ``count`` entries summed, in ascending index order.
 
     An entry is a row or, until first read, its derivation: the list of
-    parts over earlier entries that ``_row_sum`` sums to it.  A row comes
-    out the same on every read, so concurrent readers store equal rows.
+    parts over earlier entries that ``_row_sum`` sums to it, so each
+    derivation below ``count`` meets only summed rows.  A row comes out
+    the same on every read, so concurrent readers store equal rows.
     """
-    reached, stack = set(), list(wanted)
-    while stack:
-        m = stack.pop()
-        parts = rows[m]
-        if m not in reached and type(parts) is list:
-            reached.add(m)
-            stack += [d for d, _, _ in parts]
     form = ring.coeff_ring._kernel_form()
-    for m in sorted(reached):
+    for m in range(count):
         parts = rows[m]
         if type(parts) is list:  # else another thread has summed it since
             rows[m] = _row_sum(form, ring.order, rows, parts)

@@ -301,6 +301,16 @@ def test_run_in_process():
     assert run_in_process(argv) == (0, GOLDEN_FIELD, "")
 
 
+def test_a_polynomial_starting_with_a_minus_goes_after_a_double_dash(capsys):
+    gb = ["gb", "--ring", "zz", "--order", "deglex", "--vars", "x"]
+    with pytest.raises(SystemExit) as exit_:
+        build_arg_parser().parse_args([*gb, "-4x^2+2x"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: -4x^2+2x" in capsys.readouterr().err
+    assert run_in_process([*gb, "--", "-4x^2+2x"]) == (0, "4*x^2 - 2*x\n", "")
+    assert run_in_process(["nf", "--ring", "zz", "--vars", "x", "--", "-3x", "2x"]) == (0, "x\n", "")
+
+
 def test_config_from_args_collects_sources(tmp_path):
     ideal = tmp_path / "gens.txt"
     ideal.write_text("x\n# skip\n\ny\n", encoding="utf-8")

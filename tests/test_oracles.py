@@ -1,9 +1,11 @@
 """Bases checked against oracles that share no completion code with them.
 
 The zz bases of the acceptance corpus are checked against the qq bases
-of the same generators, and random field ideals in 3 variables,
-cyclic-4 and katsura-4, cyclic-5 over gf(32003) and katsura-5 over qq
-against sympy's ``groebner`` when sympy is installed.
+of the same generators and against the strong bases of ``zz_buchberger``,
+as are cyclic-3, cyclic-4 and katsura-3 over zz.  Random field ideals in
+3 variables, cyclic-4 and katsura-4, cyclic-5 over gf(32003) and
+katsura-5 over qq are checked against sympy's ``groebner`` when sympy
+is installed.
 """
 
 import random
@@ -11,10 +13,12 @@ from fractions import Fraction
 
 import pytest
 
-from ringgb import PolyRing, PrimeField, Rationals, groebner_basis, interreduce
+from ringgb import Integers, PolyRing, PrimeField, Rationals, groebner_basis, interreduce
 
 from corpus import corpus
 from families import cyclic, katsura
+from naive_poly import as_dict
+from zz_buchberger import zz_groebner
 
 
 def over(ring, polys):
@@ -33,6 +37,23 @@ def test_zz_bases_extend_to_the_qq_bases():
         zz_basis = interreduce(entry.trace.basis)
         expected = groebner_basis(over(qq_ring, entry.generators))
         assert interreduce(over(qq_ring, zz_basis)) == expected
+
+
+def test_zz_corpus_bases_match_the_strong_basis_oracle():
+    entries = [e for e in corpus() if e.ring_name == "zz"]
+    assert len(entries) == 100
+    for entry in entries:
+        expected = zz_groebner(entry.generators)
+        assert [as_dict(p) for p in groebner_basis(entry.generators)] == expected, [str(g) for g in entry.generators]
+
+
+# katsura-4 over zz matches too, but the oracle takes 8-21 s on it.
+@pytest.mark.parametrize("order", ["lex", "deglex"])
+@pytest.mark.parametrize("family,n", [(cyclic, 3), (cyclic, 4), (katsura, 3)], ids=["cyclic3", "cyclic4", "katsura3"])
+def test_zz_family_bases_match_the_strong_basis_oracle(family, n, order):
+    ring = PolyRing(Integers(), [f"x{i}" for i in range(n)], order)
+    gens = family(ring)
+    assert [as_dict(p) for p in groebner_basis(gens)] == zz_groebner(gens)
 
 
 def random_ideal(rng, ring):

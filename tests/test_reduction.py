@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,19 @@ def test_strategy_selecting_no_step_is_an_error():
     # select is not called on an irreducible polynomial.
     assert normal_form(QQ_XY.one(), [x - 1], strategy) == QQ_XY.one()
     assert strategy.selects == 2
+
+
+@pytest.mark.parametrize("base,args", [(FirstReducibleStrategy, ()), (SeededRandomStrategy, (7,))])
+def test_a_strategy_subclass_names_itself(base, args):
+    class Never(base):
+        def select(self, candidates):
+            return None
+
+    x = QQ_X.gens()[0]
+    name = f"Never({', '.join(map(str, args))})"
+    assert repr(Never(*args)) == name
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} selected no step while a step was valid$"):
+        normal_form(x**2, [x], Never(*args))
 
 
 def test_default_strategy_takes_first_candidate():
