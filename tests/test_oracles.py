@@ -47,7 +47,7 @@ def test_zz_corpus_bases_match_the_strong_basis_oracle():
         assert [as_dict(p) for p in groebner_basis(entry.generators)] == expected, [str(g) for g in entry.generators]
 
 
-# katsura-4 over zz matches too, but the oracle takes 8-21 s on it.
+# katsura-4 over zz (deglex) matches too, but the oracle takes 8-21 s on it.
 @pytest.mark.parametrize("order", ["lex", "deglex"])
 @pytest.mark.parametrize("family,n", [(cyclic, 3), (cyclic, 4), (katsura, 3)], ids=["cyclic3", "cyclic4", "katsura3"])
 def test_zz_family_bases_match_the_strong_basis_oracle(family, n, order):
